@@ -6,21 +6,15 @@
 namespace swiftest::core {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  // The first four outputs of a splitmix64 sequence started at `seed`.
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    state_[i] = splitmix64(seed + i * kSplitmix64Gamma);
+  }
 }
 
 std::uint64_t Rng::next_u64() {
@@ -109,12 +103,5 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
 }
 
 Rng Rng::fork() { return Rng(next_u64()); }
-
-std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t x = seed;
-  std::uint64_t out = seed;
-  for (std::uint64_t i = 0; i < stream; ++i) out = splitmix64(x);
-  return out;
-}
 
 }  // namespace swiftest::core

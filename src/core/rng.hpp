@@ -13,6 +13,22 @@
 
 namespace swiftest::core {
 
+/// The splitmix64 golden gamma: 2^64 / phi, rounded to odd.
+inline constexpr std::uint64_t kSplitmix64Gamma = 0x9E3779B97F4A7C15ull;
+
+/// splitmix64 (Steele, Lea & Flood): adds the golden gamma, then applies the
+/// avalanche finalizer. A stateful splitmix64 generator at state s returns
+/// splitmix64(s) and advances s by the gamma, so its k-th output (k >= 0) is
+/// splitmix64(s + k * gamma). Not cryptographic; its fixed bit pattern is
+/// part of the reproducible simulation contract (seeding, stream splits,
+/// observability sampling).
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += kSplitmix64Gamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   /// Seeds the generator. Distinct seeds produce independent-looking streams.
@@ -72,11 +88,15 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
-/// Stable (seed, stream) split for sharded execution: stream 0 is `seed`
-/// itself, so a one-stream run is bit-identical to an unsplit legacy run;
-/// stream k > 0 is the k-th output of a splitmix64 sequence seeded at
-/// `seed`, giving every shard a well-mixed independent seed that depends
-/// only on (seed, stream) — never on thread or execution order.
-[[nodiscard]] std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream);
+/// Stable (seed, stream) split: stream 0 is `seed` itself, so a one-stream
+/// run is bit-identical to an unsplit run; stream k > 0 is the k-th output
+/// of a splitmix64 sequence seeded at `seed`, i.e. the closed form
+/// splitmix64(seed + (k - 1) * gamma). Every stream is a well-mixed seed
+/// that depends only on (seed, stream) — never on thread or execution
+/// order — and costs O(1) for any k.
+[[nodiscard]] constexpr std::uint64_t stream_seed(std::uint64_t seed,
+                                                  std::uint64_t stream) noexcept {
+  return stream == 0 ? seed : splitmix64(seed + (stream - 1) * kSplitmix64Gamma);
+}
 
 }  // namespace swiftest::core

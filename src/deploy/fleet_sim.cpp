@@ -70,7 +70,6 @@ struct Arrival {
 std::vector<Arrival> generate_workload(std::span<const dataset::TestRecord> population,
                                        const swift::ModelRegistry& registry,
                                        const FleetSimConfig& config) {
-  obs::ProfScope prof(config.prof, "fleet.workload_gen");
   std::vector<Arrival> workload;
   core::Rng rng(config.seed);
   const auto weights = dataset::hourly_test_weights();
@@ -256,7 +255,7 @@ std::unique_ptr<obs::Hub> make_chunk_hub(const obs::Hub& like,
 /// the result bits to the partition; compute_analytic_load runs once, over
 /// the whole workload, at merge.
 struct AnalyticChunk {
-  std::uint64_t tests = 0;
+  std::uint64_t tests_simulated = 0;
   obs::health::SampleLog health;
   bool want_health = false;
   /// Sampled observability emission (fleet.test events + spans); null unless
@@ -264,16 +263,13 @@ struct AnalyticChunk {
   std::unique_ptr<obs::Hub> hub;
   ChunkSpill spill;
   obs::ShardTelemetry telemetry;
-  /// Private self-profile registry: workers record here without locks and
-  /// the caller folds them into config.prof after the join.
-  obs::ProfRegistry prof;
 };
 
 void run_analytic_chunk(std::span<const Arrival> arrivals,
                         const FleetSimConfig& config,
                         const obs::SampleSchedule* schedule, AnalyticChunk& out) {
   for (const Arrival& a : arrivals) {
-    ++out.tests;
+    ++out.tests_simulated;
     if (config.resource != nullptr) config.resource->add_tests(1);
     if (out.hub != nullptr &&
         (schedule == nullptr || schedule->sampled(a.test_id))) {
@@ -392,7 +388,9 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
   const double fleet_capacity =
       config.server_uplink_mbps * static_cast<double>(config.server_count);
 
-  for (const AnalyticChunk& chunk : chunks) result.tests_simulated += chunk.tests;
+  for (const AnalyticChunk& chunk : chunks) {
+    result.tests_simulated += chunk.tests_simulated;
+  }
 
   std::uint64_t overload_seconds = 0;
   for (double second : load.second_load) {
@@ -512,7 +510,6 @@ struct PacketChunk {
   bool want_health = false;
   ChunkSpill spill;
   obs::ShardTelemetry telemetry;
-  obs::ProfRegistry prof;  // private; merged into config.prof after the join
 };
 
 void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
@@ -863,6 +860,34 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
   return result;
 }
 
+/// Runs one chunk's replay under a wall-clock timer, then fills the chunk's
+/// ShardTelemetry from its counters and reports it to config.resource. Both
+/// backends' run_tasks bodies go through here.
+template <typename Chunk, typename Replay>
+void replay_chunk(std::size_t c, std::uint64_t degradations,
+                  const FleetSimConfig& config, Chunk& out, Replay&& replay) {
+  const auto t0 = std::chrono::steady_clock::now();
+  replay();
+  obs::ShardTelemetry& t = out.telemetry;
+  t.shard = c;
+  t.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  t.tests = out.tests_simulated;
+  t.health_dropped = out.health.dropped();
+  t.sample_degradations = degradations;
+  if (out.hub != nullptr) {
+    t.trace_dropped = out.hub->tracer.dropped();
+    t.trace_spilled = out.hub->tracer.spilled();
+    t.span_dropped = out.hub->spans.dropped();
+    t.span_spilled = out.hub->spans.spilled();
+  }
+  if (config.resource != nullptr) {
+    config.resource->record_shard(t);
+    config.resource->note_shard_done();
+    config.resource->sample_usage();
+  }
+}
+
 }  // namespace
 
 FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
@@ -945,47 +970,15 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
         out.spill.attach(*out.hub, config.obs_spill_dir, c);
       }
     }
-    {
-      obs::ProfScope prof(config.prof, "fleet.replay_packet");
-      run_tasks(
-          chunk_count, jobs,
-          [&](std::size_t c) {
-            const auto t0 = std::chrono::steady_clock::now();
-            {
-              // Per-chunk registry: lock-free on the worker, merged after join.
-              obs::ProfScope chunk_prof(
-                  config.prof != nullptr ? &outputs[c].prof : nullptr,
-                  "fleet.chunk_replay");
-              run_packet_chunk(chunk_arrivals(c), registry, config, sched_ptr,
-                               windows_total, outputs[c]);
-            }
-            PacketChunk& out = outputs[c];
-            obs::ShardTelemetry& t = out.telemetry;
-            t.shard = c;
-            t.wall_seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-            t.tests = out.tests_simulated;
-            t.health_dropped = out.health.dropped();
-            t.sample_degradations = chunk_degradations(c);
-            if (out.hub != nullptr) {
-              t.trace_dropped = out.hub->tracer.dropped();
-              t.trace_spilled = out.hub->tracer.spilled();
-              t.span_dropped = out.hub->spans.dropped();
-              t.span_spilled = out.hub->spans.spilled();
-            }
-            if (config.resource != nullptr) {
-              config.resource->record_shard(t);
-              config.resource->note_shard_done();
-              config.resource->sample_usage();
-            }
-          },
-          config.hostprof);
-      if (config.prof != nullptr) {
-        for (const PacketChunk& out : outputs) config.prof->merge_from(out.prof);
-      }
-    }
-    obs::ProfScope prof(config.prof, "fleet.merge");
+    run_tasks(
+        chunk_count, jobs,
+        [&](std::size_t c) {
+          replay_chunk(c, chunk_degradations(c), config, outputs[c], [&] {
+            run_packet_chunk(chunk_arrivals(c), registry, config, sched_ptr,
+                             windows_total, outputs[c]);
+          });
+        },
+        config.hostprof);
     const obs::hostprof::HostScope merge_scope(host_tl, "merge");
     result = merge_packet(outputs, config);
     finish_resource();
@@ -1008,43 +1001,15 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     }
   }
   AnalyticLoad load;
+  run_tasks(
+      chunk_count, jobs,
+      [&](std::size_t c) {
+        replay_chunk(c, chunk_degradations(c), config, outputs[c], [&] {
+          run_analytic_chunk(chunk_arrivals(c), config, sched_ptr, outputs[c]);
+        });
+      },
+      config.hostprof);
   {
-    obs::ProfScope prof(config.prof, "fleet.replay_analytic");
-    run_tasks(
-        chunk_count, jobs,
-        [&](std::size_t c) {
-          const auto t0 = std::chrono::steady_clock::now();
-          {
-            obs::ProfScope chunk_prof(
-                config.prof != nullptr ? &outputs[c].prof : nullptr,
-                "fleet.chunk_replay");
-            run_analytic_chunk(chunk_arrivals(c), config, sched_ptr, outputs[c]);
-          }
-          AnalyticChunk& out = outputs[c];
-          obs::ShardTelemetry& t = out.telemetry;
-          t.shard = c;
-          t.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-          t.tests = out.tests;
-          t.health_dropped = out.health.dropped();
-          t.sample_degradations = chunk_degradations(c);
-          if (out.hub != nullptr) {
-            t.trace_dropped = out.hub->tracer.dropped();
-            t.trace_spilled = out.hub->tracer.spilled();
-            t.span_dropped = out.hub->spans.dropped();
-            t.span_spilled = out.hub->spans.spilled();
-          }
-          if (config.resource != nullptr) {
-            config.resource->record_shard(t);
-            config.resource->note_shard_done();
-            config.resource->sample_usage();
-          }
-        },
-        config.hostprof);
-    if (config.prof != nullptr) {
-      for (const AnalyticChunk& out : outputs) config.prof->merge_from(out.prof);
-    }
     // The closed-form load accounting runs once, serially, over the whole
     // workload: floating-point sums are order-sensitive, so this is the one
     // place the numbers are allowed to accumulate — the historical order,
@@ -1052,7 +1017,6 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     const obs::hostprof::HostScope scope(host_tl, "replay.numeric");
     load = compute_analytic_load(workload, config);
   }
-  obs::ProfScope prof(config.prof, "fleet.merge");
   const obs::hostprof::HostScope merge_scope(host_tl, "merge");
   result = merge_analytic(outputs, load, config);
   finish_resource();

@@ -17,7 +17,6 @@
 #include "obs/health/monitor.hpp"
 #include "obs/hostprof/hostprof.hpp"
 #include "obs/hub.hpp"
-#include "obs/prof.hpp"
 #include "obs/resource.hpp"
 #include "obs/sampling.hpp"
 #include "stats/descriptive.hpp"
@@ -74,12 +73,6 @@ struct FleetSimConfig {
   /// |min(rate, truth) - truth| / truth (0 whenever the settled probing
   /// rate covers the client). Null disables health aggregation.
   obs::health::HealthMonitor* health = nullptr;
-  /// Optional wall-clock self-profiler: workload generation and replay are
-  /// timed under fleet.* categories. Host-time only — never part of the
-  /// deterministic result or health report. Each shard records into a
-  /// private registry merged (ProfRegistry::merge_from) after the join, so
-  /// the aggregate is thread-safe at any `jobs`.
-  obs::ProfRegistry* prof = nullptr;
   /// Optional thread-aware host-time profiler (obs/hostprof/). When set, the
   /// run records per-thread phase timelines — workload.gen on the calling
   /// thread, exec.run + per-worker chunk.run via run_tasks, then

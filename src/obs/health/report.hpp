@@ -5,8 +5,8 @@
 // report is the machine-readable artifact CI diffs and gates on; the
 // markdown report renders the paper's §5 headline table (duration, data
 // usage, deviation, egress utilization — p50/p95/p99 per dimension) for
-// humans. Wall-clock self-profiling never appears here: it is host-time and
-// would break byte-stability (see obs/prof.hpp).
+// humans. Host-time profiling never appears here: it is wall-clock and
+// would break byte-stability (see obs/hostprof/hostprof.hpp).
 #pragma once
 
 #include <iosfwd>

@@ -1,16 +1,18 @@
-// Thread-aware host-time profiler for the parallel runtime.
+// The host-time profiler: where the simulator itself spends wall-clock.
 //
-// obs::ProfScope answers "how much wall-clock did category X cost, in
-// total"; it cannot say *which thread* spent it, *when*, or how much of the
-// run was serial. This subsystem retains that structure: every thread of the
-// chunked fleet runtime records nested phase *intervals* into its own
-// ProfTimeline — the calling thread's workload.gen / merge.* / export
-// phases, each pool worker's per-chunk replay — plus per-worker busy/idle
-// wait accounting around deploy::run_tasks' work-stealing pool. After the
-// pool joins, HostProfiler::snapshot() folds the timelines into one ProfData
-// that renders as PROF JSONL (obs/hostprof/report.hpp), as a Chrome
-// trace_event timeline with one track per worker, and as the Amdahl
-// attribution report behind `swiftest-cli profile report`.
+// The rest of obs/ is keyed on *simulated* time and byte-stable across
+// same-seed runs (ResourceMonitor's host side aside); this profiler
+// measures host time on purpose. A per-category total cannot say *which
+// thread* spent the time, *when*, or how much of the run was serial, so
+// this profiler retains that structure: every thread of the chunked fleet
+// runtime records nested phase *intervals* into its own Timeline — the
+// calling thread's workload.gen / merge.* / export phases, each pool
+// worker's per-chunk replay — plus per-worker busy/idle wait accounting
+// around deploy::run_tasks' work-stealing pool. After the pool joins,
+// HostProfiler::snapshot() folds the timelines into one ProfData that
+// renders as PROF JSONL (obs/hostprof/report.hpp), as a Chrome trace_event
+// timeline with one track per worker, and as the Amdahl attribution report
+// behind `swiftest-cli profile report` and `--profile`.
 //
 // Threading contract (the reason the record path needs no locks):
 //   * Each Timeline is owned by exactly one thread while recording. The
@@ -25,7 +27,7 @@
 // (count/total/max) stay exact regardless of drops. All timestamps are
 // steady_clock nanoseconds relative to the profiler's construction — host
 // time, never simulated time, and therefore NEVER part of deterministic
-// artifacts (the ProfScope rule, DESIGN.md §8).
+// artifacts (DESIGN.md §8).
 #pragma once
 
 #include <chrono>
@@ -128,7 +130,7 @@ class Timeline {
 };
 
 /// RAII nested host-time scope. A null timeline makes it a no-op with no
-/// clock read — the null-registry contract of ProfScope.
+/// clock read, so un-profiled runs pay nothing.
 class HostScope {
  public:
   explicit HostScope(Timeline* timeline, const char* phase,

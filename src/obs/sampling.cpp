@@ -52,7 +52,7 @@ SampleSchedule SampleSchedule::plan(std::uint64_t test_count,
       schedule.steps_.push_back(Step{t, denom});
       ++schedule.degradations_;
     }
-    if (denom <= 1 || splitmix64(t ^ schedule.salt_) % denom == 0) {
+    if (denom <= 1 || core::splitmix64(t ^ schedule.salt_) % denom == 0) {
       footprint += model.sampled_test_bytes;
     }
     footprint += model.per_test_bytes;
@@ -72,7 +72,7 @@ std::uint64_t SampleSchedule::denominator_at(std::uint64_t test_id) const noexce
 bool SampleSchedule::sampled(std::uint64_t test_id) const noexcept {
   const std::uint64_t denom = denominator_at(test_id);
   if (denom <= 1) return true;
-  return splitmix64(test_id ^ salt_) % denom == 0;
+  return core::splitmix64(test_id ^ salt_) % denom == 0;
 }
 
 std::uint64_t SampleSchedule::degradations_in(std::uint64_t begin_test,

@@ -25,17 +25,9 @@
 #include <string_view>
 #include <vector>
 
-namespace swiftest::obs {
+#include "core/rng.hpp"
 
-/// splitmix64 finalizer: the same avalanche permutation deploy::stable_hash64
-/// uses for shard assignment. Shared here so sampling decisions are
-/// documented as a pure function of the key.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+namespace swiftest::obs {
 
 class SamplingPolicy {
  public:
@@ -63,7 +55,7 @@ class SamplingPolicy {
   /// on (key, salt, current denominator).
   [[nodiscard]] bool sampled(std::uint64_t key) const noexcept {
     if (denominator_ <= 1) return true;
-    return splitmix64(key ^ salt_) % denominator_ == 0;
+    return core::splitmix64(key ^ salt_) % denominator_ == 0;
   }
 
   /// Degradation budget in bytes; 0 disables degradation.

@@ -17,7 +17,6 @@
 #include "core/rng.hpp"
 #include "dataset/generator.hpp"
 #include "deploy/fleet_sim.hpp"
-#include "deploy/shard.hpp"
 #include "netsim/scheduler.hpp"
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
@@ -26,25 +25,6 @@
 
 namespace swiftest::deploy {
 namespace {
-
-TEST(ShardOf, StableAndInRange) {
-  for (std::size_t shards : {1u, 2u, 7u, 8u}) {
-    for (std::uint64_t key = 0; key < 64; ++key) {
-      const std::size_t shard = shard_of(key, shards);
-      EXPECT_LT(shard, shards);
-      EXPECT_EQ(shard, shard_of(key, shards)) << "assignment must be pure";
-    }
-  }
-  EXPECT_EQ(shard_of(12345, 1), 0u);
-  EXPECT_EQ(shard_of(12345, 0), 0u);
-}
-
-TEST(ShardOf, SpreadsKeysAcrossShards) {
-  std::set<std::size_t> hit;
-  for (std::uint64_t key = 0; key < 64; ++key) hit.insert(shard_of(key, 8));
-  // 64 keys over 8 buckets: a stable hash worth its name touches all of them.
-  EXPECT_EQ(hit.size(), 8u);
-}
 
 TEST(StreamSeed, StreamZeroIsIdentity) {
   EXPECT_EQ(core::stream_seed(42, 0), 42u);
@@ -59,6 +39,32 @@ TEST(StreamSeed, StreamsAreDistinct) {
     seeds.insert(core::stream_seed(99, stream));
   }
   EXPECT_EQ(seeds.size(), 16u);
+}
+
+TEST(StreamSeed, ClosedFormMatchesIterativeSplitmix64Sequence) {
+  // Reference: the definition — stream k is the k-th output of a stateful
+  // splitmix64 sequence started at `seed`. stream_seed computes it in closed
+  // form; every packet test's testbed seed goes through it, so a single
+  // differing bit would move every packet-level golden.
+  const auto iterative = [](std::uint64_t seed, std::uint64_t stream) {
+    std::uint64_t x = seed;
+    std::uint64_t out = seed;
+    for (std::uint64_t i = 0; i < stream; ++i) {
+      x += 0x9E3779B97F4A7C15ull;
+      std::uint64_t z = x;
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+      out = z ^ (z >> 31);
+    }
+    return out;
+  };
+  for (std::uint64_t seed :
+       {0ull, 42ull, 0xFFFFFFFFFFFFFFFFull, 0x5EEDCAFE12345678ull}) {
+    for (std::uint64_t stream : {0ull, 1ull, 2ull, 3ull, 17ull, 1000ull, 4999ull}) {
+      EXPECT_EQ(core::stream_seed(seed, stream), iterative(seed, stream))
+          << "seed " << seed << " stream " << stream;
+    }
+  }
 }
 
 TEST(WorkStealingDeque, OwnerTakesLifoThiefStealsFifo) {
@@ -127,12 +133,6 @@ TEST(RunTasks, PropagatesTheFirstException) {
                            if (task == 5) throw std::runtime_error("boom");
                          }),
                std::runtime_error);
-}
-
-TEST(RunShards, CompatForwarderStillCoversEveryIndex) {
-  std::vector<std::atomic<int>> hits(9);
-  run_shards(hits.size(), 3, [&](std::size_t shard) { ++hits[shard]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 const std::vector<dataset::TestRecord>& population() {

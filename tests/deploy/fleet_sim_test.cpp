@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "dataset/generator.hpp"
@@ -105,11 +106,11 @@ TEST(FleetSim, PacketBackendAgreesWithAnalytic) {
 TEST(FleetSim, StreamsHealthSignalsPerDimension) {
   const swift::ModelRegistry registry;
   obs::health::HealthMonitor health;
-  obs::ProfRegistry prof;
+  obs::hostprof::HostProfiler prof;
   FleetSimConfig cfg;
   cfg.days = 1;
   cfg.health = &health;
-  cfg.prof = &prof;
+  cfg.hostprof = &prof;
   const auto result = simulate_fleet(population(), registry, cfg);
 
   const auto snap = health.snapshot();
@@ -133,9 +134,15 @@ TEST(FleetSim, StreamsHealthSignalsPerDimension) {
   EXPECT_NEAR(egress->p99, result.p99, 3.0);
   // Analytic deviation proxy: ~0 when the settled rate covers the truth.
   EXPECT_LE(snap.find(kMetricDeviation, "all")->mean, 0.10);
-  // Self-profiling saw both stages.
-  EXPECT_EQ(prof.entries().count("fleet.workload_gen"), 1u);
-  EXPECT_EQ(prof.entries().count("fleet.replay_analytic"), 1u);
+  // The host-time profiler saw each serial stage once on the calling thread.
+  for (const char* phase : {"workload.gen", "replay.numeric", "merge"}) {
+    const auto& aggs = prof.main().phase_aggs();
+    const auto it = std::find_if(aggs.begin(), aggs.end(), [&](const auto& agg) {
+      return agg.second.name == phase;
+    });
+    ASSERT_NE(it, aggs.end()) << phase;
+    EXPECT_EQ(it->second.count, 1u) << phase;
+  }
 }
 
 TEST(FleetSim, PacketBackendStreamsRealTestOutcomes) {

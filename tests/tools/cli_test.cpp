@@ -271,13 +271,18 @@ TEST(Cli, ProfilePrintsWallClockTable) {
   std::string output;
   ASSERT_EQ(run({"test", "--rate", "80", "--tech", "4g", "--profile"}, output),
             0);
-  EXPECT_NE(output.find("self-profile (wall clock)"), std::string::npos);
-  EXPECT_NE(output.find("cli.test_run"), std::string::npos);
+  // --profile renders the host-time profiler's report: the same profiler
+  // behind --prof-out / --prof-trace.
+  EXPECT_NE(output.find("# Host-time profile"), std::string::npos);
+  EXPECT_NE(output.find("| cli.test_run | 1 |"), std::string::npos);
 
-  // Fleet profiles its stages too.
+  // Fleet profiles its stages too, including the pool region.
   ASSERT_EQ(run({"fleet", "--days", "1", "--profile"}, output), 0);
-  EXPECT_NE(output.find("fleet.workload_gen"), std::string::npos);
-  EXPECT_NE(output.find("fleet.replay_analytic"), std::string::npos);
+  EXPECT_NE(output.find("# Host-time profile"), std::string::npos);
+  for (const char* phase : {"workload.gen", "exec.run", "merge"}) {
+    EXPECT_NE(output.find(std::string("| ") + phase + " | "), std::string::npos)
+        << phase;
+  }
 }
 
 TEST(Cli, TestWritesSpansAndAttributionAndAnalyzeRoundTrips) {

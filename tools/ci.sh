@@ -205,18 +205,22 @@ PYEOF
 # that parses as JSON, and (c) calling-thread phase coverage of >= 95% of
 # wall-clock — if instrumented phases stop summing to the wall, the Amdahl
 # attribution is lying about where the time went. `profile report` must
-# render the markdown analysis from the same file.
+# render the markdown analysis from the same file, and the jobs-4 run's
+# --profile stdout must carry the same profiler's report.
 run_profile_gate() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke/profile"
   echo "=== profile attribution gate (${build_dir}) ==="
   mkdir -p "${out_dir}"
-  local jobs
+  local jobs profile_flag
   for jobs in 1 4; do
+    profile_flag=""
+    if [[ "${jobs}" == 4 ]]; then profile_flag="--profile"; fi
     "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet \
       --days 1 --tests-per-day 10000 --seed 11 --chunk 64 --jobs "${jobs}" \
       --prof-out "${out_dir}/prof-j${jobs}.jsonl" \
-      --prof-trace "${out_dir}/prof-j${jobs}-trace.json" > /dev/null
+      --prof-trace "${out_dir}/prof-j${jobs}-trace.json" ${profile_flag} \
+      > "${out_dir}/fleet-j${jobs}.out"
     python3 -m json.tool "${out_dir}/prof-j${jobs}-trace.json" > /dev/null
     python3 - "${out_dir}/prof-j${jobs}.jsonl" <<'PYEOF'
 import json, sys
@@ -263,6 +267,9 @@ PYEOF
     "${out_dir}/prof-j4.jsonl" --md "${out_dir}/prof-j4.md"
   grep -q '^# Host-time profile' "${out_dir}/prof-j4.md"
   grep -q '^## Workers' "${out_dir}/prof-j4.md"
+  # --profile rendered the same run's profile on stdout.
+  grep -q '^# Host-time profile' "${out_dir}/fleet-j4.out"
+  grep -q '^| exec\.run | ' "${out_dir}/fleet-j4.out"
   echo "profile attribution gate passed"
 }
 

@@ -22,7 +22,6 @@
 #include "obs/hostprof/report.hpp"
 #include "obs/hub.hpp"
 #include "obs/log.hpp"
-#include "obs/prof.hpp"
 #include "obs/resource.hpp"
 #include "obs/sampling.hpp"
 #include "obs/span/critical_path.hpp"
@@ -116,7 +115,10 @@ const std::string kUsage = std::string(
     "  --progress              live test/chunk/RSS progress line on stderr\n"
     "                          (host telemetry; never part of artifacts)\n"
     "\n"
-    "host-time profiling (fleet):\n"
+    "host-time profiling:\n"
+    "  --profile               print the host-time profile report (Amdahl\n"
+    "                          attribution, ranked phase table) after the run\n"
+    "                          (test, run, fleet)\n"
     "  --prof-out FILE         write per-thread phase timelines and worker\n"
     "                          busy/idle accounting as PROF JSONL (the input\n"
     "                          of `profile report`); host time only — the\n"
@@ -124,6 +126,7 @@ const std::string kUsage = std::string(
     "                          with or without this flag\n"
     "  --prof-trace FILE       write the host-time timeline as Chrome\n"
     "                          trace_event JSON, one track per worker thread\n"
+    "                          (--prof-out / --prof-trace: fleet only)\n"
     "\n"
     "logging (all commands):\n"
     "  --log-level L           debug|info|warn|error (default warn)\n"
@@ -133,8 +136,7 @@ const std::string kUsage = std::string(
     "                          data usage, deviation, egress utilization) as JSON\n"
     "  --report-md FILE        render the health report as markdown\n"
     "  --slo FILE              evaluate an SLO spec (JSON); any violation makes\n"
-    "                          the process exit 3\n"
-    "  --profile               print a wall-clock self-profile after the run\n";
+    "                          the process exit 3\n";
 
 /// Minimal --key value parser; flags without values map to "true".
 class Options {
@@ -552,7 +554,10 @@ int cmd_test(const Options& options, std::ostream& out) {
         {"wire", options.has("wire") ? "true" : "false"},
     };
   }
-  obs::ProfRegistry prof;
+  std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
+  if (options.has("profile")) {
+    hostprof = std::make_unique<obs::hostprof::HostProfiler>();
+  }
   netsim::ScenarioConfig net;
   net.access_rate = core::Bandwidth::mbps(rate);
   netsim::Scenario scenario(net,
@@ -566,7 +571,8 @@ int cmd_test(const Options& options, std::ostream& out) {
   cfg.tech = *tech;
   bts::BtsResult result;
   {
-    obs::ProfScope scope(options.has("profile") ? &prof : nullptr, "cli.test_run");
+    const obs::hostprof::HostScope scope(
+        hostprof != nullptr ? &hostprof->main() : nullptr, "cli.test_run");
     if (options.has("wire")) {
       swift::WireClient client(cfg, registry);
       result = client.run(scenario);
@@ -610,12 +616,10 @@ int cmd_test(const Options& options, std::ostream& out) {
     };
     health_rc = flush_health(options, out, &health, meta, mf);
   }
-  if (options.has("profile")) {
-    obs::write_profile(prof, out,
-                       static_cast<std::uint64_t>(
-                           std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - wall_start)
-                               .count()));
+  if (hostprof != nullptr) {
+    hostprof->finish();
+    obs::hostprof::write_prof_report_markdown(
+        obs::hostprof::analyze_prof(hostprof->snapshot()), out);
   }
   if (mf != nullptr) {
     manifest.host = {
@@ -712,7 +716,8 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   // The host-time profiler spans the whole command — population draw through
   // artifact export — so the attribution covers (nearly) all of wall-clock.
   std::unique_ptr<obs::hostprof::HostProfiler> hostprof;
-  if (options.has("prof-out") || options.has("prof-trace")) {
+  if (options.has("prof-out") || options.has("prof-trace") ||
+      options.has("profile")) {
     hostprof = std::make_unique<obs::hostprof::HostProfiler>();
   }
   obs::hostprof::Timeline* host_tl =
@@ -735,11 +740,9 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   if (wants_health(options)) {
     health = std::make_unique<obs::health::HealthMonitor>();
   }
-  obs::ProfRegistry prof;
   deploy::FleetSimConfig cfg;
   cfg.obs = hub.get();
   cfg.health = health.get();
-  cfg.prof = options.has("profile") ? &prof : nullptr;
   cfg.hostprof = hostprof.get();
   cfg.server_count = static_cast<std::size_t>(options.get_int("servers", 20));
   cfg.days = static_cast<int>(options.get_int("days", 3));
@@ -1000,13 +1003,16 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     if (mf != nullptr) {
       manifest.summaries["hostprof"] = obs::hostprof::summarize_for_manifest(data);
     }
+    if (options.has("profile")) {
+      obs::hostprof::write_prof_report_markdown(obs::hostprof::analyze_prof(data),
+                                                out);
+    }
   } else {
     wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall_start)
             .count());
   }
-  if (options.has("profile")) obs::write_profile(prof, out, wall_ns);
   // The manifest renders last so it can hash every artifact the run wrote.
   // An SLO violation (rc 3) still gets a manifest — the diff side wants the
   // violating run's record most of all.
