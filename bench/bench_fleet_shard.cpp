@@ -1,5 +1,5 @@
 // Chunked fleet-day scaling: wall-clock of the packet backend at a fixed
-// chunk size as the work-stealing pool grows (deploy::FleetSimConfig::jobs),
+// chunk size as the worker pool grows (deploy::FleetSimConfig::jobs),
 // plus the determinism contract that makes the parallelism safe to use —
 // every job count must produce byte-identical artifacts.
 //
@@ -114,10 +114,9 @@ int main(int argc, char** argv) {
   obs::hostprof::write_prof_report_markdown(
       obs::hostprof::analyze_prof(widest_prof), std::cout);
 
-  // Per-worker steal/imbalance attribution: who executed what, how much of
-  // it was stolen, and how far the busiest worker sits above the mean — the
-  // work-stealing analogue of the old static-shard imbalance number.
-  benchutil::print_title("Per-worker steal/imbalance attribution (jobs=8)");
+  // Per-worker imbalance attribution: how many chunks each worker executed,
+  // and how far the busiest worker sits above the mean.
+  benchutil::print_title("Per-worker imbalance attribution (jobs=8)");
   {
     std::uint64_t busy_sum = 0;
     std::uint64_t busy_max = 0;
@@ -131,10 +130,9 @@ int main(int argc, char** argv) {
                                   ? 100.0 * static_cast<double>(tl.worker.busy_ns) /
                                         static_cast<double>(tl.worker.wall_ns)
                                   : 0.0;
-      std::printf("  w%-3llu busy %6.1f%%  chunks %-4llu steals %-4llu pulls %llu\n",
+      std::printf("  w%-3llu busy %6.1f%%  chunks %-4llu pulls %llu\n",
                   static_cast<unsigned long long>(tl.tid), busy_pct,
                   static_cast<unsigned long long>(tl.worker.chunks),
-                  static_cast<unsigned long long>(tl.worker.steals),
                   static_cast<unsigned long long>(tl.worker.pulls));
     }
     if (workers > 0 && busy_sum > 0) {

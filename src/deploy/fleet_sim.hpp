@@ -49,7 +49,7 @@ struct FleetSimConfig {
   FleetBackend backend = FleetBackend::kAnalytic;
   /// Tests per execution chunk (0 = the default, 256). The drawn workload
   /// decomposes into bounded chunks of *consecutive* draws executed by the
-  /// work-stealing pool (deploy/exec.hpp); chunk outputs merge in canonical
+  /// claim-cursor pool (deploy/exec.hpp); chunk outputs merge in canonical
   /// workload-index order. The partition-invariance contract: every
   /// deterministic artifact — result numbers, trace, spans, metrics, health —
   /// is a pure function of (config, seed), independent of this value and of
@@ -78,7 +78,7 @@ struct FleetSimConfig {
   /// thread, exec.run + per-worker chunk.run via run_tasks, then
   /// replay.numeric (analytic) and merge.tracer / merge.metrics /
   /// merge.spans / merge.canonicalize / spill.io / samplelog.replay — plus
-  /// per-worker busy/idle/steal accounting. Host time only: a non-null
+  /// per-worker busy/idle/claim accounting. Host time only: a non-null
   /// profiler never changes a single byte of the deterministic artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
   /// Deterministic whole-test observability sampling (DESIGN.md §12). When

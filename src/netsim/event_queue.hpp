@@ -1,27 +1,25 @@
-// Event-queue front-ends for the slab scheduler.
+// The slab scheduler's event queue.
 //
 // The scheduler stores callbacks in a slab; what gets ordered is a 24-byte
-// EventKey {when, seq, slot}. Two interchangeable front-ends produce the
-// exact same total order (strict (when, seq) — seq is unique, so there are
-// no ambiguous ties):
+// EventKey {when, seq, slot} in strict (when, seq) order — seq is unique, so
+// there are no ambiguous ties. Its tests replay every operation against a
+// plain binary min-heap of keys, which yields the same total order.
 //
-//  * HeapEventQueue — the reference std::priority_queue, O(log n) per op.
-//    Kept for the byte-identical migration gate and A/B determinism tests.
-//  * CalendarEventQueue — a bucketed timer ring for the dominant near-future
-//    events, O(1) amortized. The ring covers [base, base + buckets * width);
-//    events beyond the horizon wait in a far-future heap and migrate into
-//    the ring when it drains and rebases. Buckets are swept into a small
-//    "active" min-heap as the cursor reaches them; `swept_end` records the
-//    exclusive end time of the last swept bucket, and any in-window insert
-//    below that watermark joins the active heap directly — the cursor has
-//    already passed its bucket (e.g. a peek() swept a future bucket and the
-//    caller then scheduled into the gap), and parking it in the ring would
-//    delay it a full lap. Inserts before `base` (possible after run_until()
-//    parks the clock between a drained ring and a far-future rebase target)
-//    go to an underflow heap that is strictly earlier than everything else.
-//    Invariant: underflow < base <= active < swept_end <= ring, so draining
-//    underflow, then active, then sweeping buckets in cursor order yields
-//    the exact (when, seq) total order without ever rebasing backwards.
+// CalendarEventQueue is a bucketed timer ring for the dominant near-future
+// events, O(1) amortized. The ring covers [base, base + buckets * width);
+// events beyond the horizon wait in a far-future heap and migrate into the
+// ring when it drains and rebases. Buckets are swept into a small "active"
+// min-heap as the cursor reaches them; `swept_end` records the exclusive end
+// time of the last swept bucket, and any in-window insert below that
+// watermark joins the active heap directly — the cursor has already passed
+// its bucket (e.g. a peek() swept a future bucket and the caller then
+// scheduled into the gap), and parking it in the ring would delay it a full
+// lap. Inserts before `base` (possible after run_until() parks the clock
+// between a drained ring and a far-future rebase target) go to an underflow
+// heap that is strictly earlier than everything else. Invariant:
+// underflow < base <= active < swept_end <= ring, so draining underflow,
+// then active, then sweeping buckets in cursor order yields the exact
+// (when, seq) total order without ever rebasing backwards.
 #pragma once
 
 #include <cassert>
@@ -46,30 +44,6 @@ struct EventKey {
 
 using EventKeyHeap =
     std::priority_queue<EventKey, std::vector<EventKey>, std::greater<>>;
-
-/// Reference front-end: a plain binary min-heap of keys.
-class HeapEventQueue {
- public:
-  void push(const EventKey& key) { heap_.push(key); }
-
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-
-  bool peek(EventKey& out) {
-    if (heap_.empty()) return false;
-    out = heap_.top();
-    return true;
-  }
-
-  EventKey pop() {
-    EventKey key = heap_.top();
-    heap_.pop();
-    return key;
-  }
-
- private:
-  EventKeyHeap heap_;
-};
 
 /// O(1)-amortized calendar queue. Defaults: 1024 buckets of 2^18 ns
 /// (~262 us) give a ~268 ms ring — wider than any simulated RTT or pacing

@@ -8,7 +8,7 @@
 // runtime records nested phase *intervals* into its own Timeline — the
 // calling thread's workload.gen / merge.* / export phases, each pool
 // worker's per-chunk replay — plus per-worker busy/idle wait accounting
-// around deploy::run_tasks' work-stealing pool. After the pool joins,
+// around deploy::run_tasks' claim-cursor pool. After the pool joins,
 // HostProfiler::snapshot() folds the timelines into one ProfData that
 // renders as PROF JSONL (obs/hostprof/report.hpp), as a Chrome trace_event
 // timeline with one track per worker, and as the Amdahl attribution report
@@ -62,15 +62,15 @@ struct PhaseAgg {
 
 /// Pool wait accounting for one worker thread (or the calling thread on the
 /// inline jobs<=1 path): busy is the sum of chunk-execution time, idle is
-/// everything else between the worker's first and last breath (deque takes,
-/// steal sweeps, termination checks), so busy + idle == wall exactly.
+/// everything else between the worker's first and last breath (claims and
+/// exception bookkeeping), so busy + idle == wall exactly.
 struct WorkerStats {
   bool valid = false;
   std::uint64_t busy_ns = 0;
   std::uint64_t idle_ns = 0;
   std::uint64_t wall_ns = 0;
-  std::uint64_t pulls = 0;   // acquisition rounds (take + steal sweeps, incl. misses)
-  std::uint64_t steals = 0;  // chunks taken from another worker's deque
+  std::uint64_t pulls = 0;   // cursor claims, incl. the final miss: chunks + 1
+  std::uint64_t steals = 0;  // always 0; drop with the next benchmark change
   std::uint64_t chunks = 0;  // chunks this worker executed
 };
 

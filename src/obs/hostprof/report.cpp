@@ -41,7 +41,7 @@ std::string thread_label(std::uint32_t tid) {
 }  // namespace
 
 void write_prof_jsonl(const ProfData& data, std::ostream& out) {
-  std::string line = "{\"type\":\"meta\",\"tool\":\"swiftest-hostprof\",\"version\":2";
+  std::string line = "{\"type\":\"meta\",\"tool\":\"swiftest-hostprof\",\"version\":3";
   append_kv_u64(line, "chunks", data.chunks);
   append_kv_u64(line, "jobs", data.jobs);
   append_kv_u64(line, "timelines", data.timelines.size());
@@ -63,7 +63,6 @@ void write_prof_jsonl(const ProfData& data, std::ostream& out) {
       append_kv_u64(line, "idle_ns", tl.worker.idle_ns);
       append_kv_u64(line, "wall_ns", tl.worker.wall_ns);
       append_kv_u64(line, "pulls", tl.worker.pulls);
-      append_kv_u64(line, "steals", tl.worker.steals);
       append_kv_u64(line, "chunks", tl.worker.chunks);
       line += "}\n";
       out << line;
@@ -190,8 +189,7 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
           .dropped = value->get("dropped")->as_u64();
     } else if (type == "worker") {
       if (!require(*value,
-                   {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls", "steals",
-                    "chunks"},
+                   {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls", "chunks"},
                    lineno, error)) {
         return std::nullopt;
       }
@@ -202,7 +200,6 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
       tl.worker.idle_ns = value->get("idle_ns")->as_u64();
       tl.worker.wall_ns = value->get("wall_ns")->as_u64();
       tl.worker.pulls = value->get("pulls")->as_u64();
-      tl.worker.steals = value->get("steals")->as_u64();
       tl.worker.chunks = value->get("chunks")->as_u64();
     } else if (type == "phase") {
       if (!require(*value, {"tid", "name", "count", "total_ns", "max_ns"}, lineno,
@@ -394,18 +391,17 @@ void write_prof_report_markdown(const ProfReport& report, std::ostream& out) {
          " of wall; that excess is the parallelism.\n";
 
   out << "\n## Workers\n\n"
-      << "| worker | busy s | idle s | busy % | chunks | steals | pulls |\n"
-      << "|---|---|---|---|---|---|---|\n";
+      << "| worker | busy s | idle s | busy % | chunks | pulls |\n"
+      << "|---|---|---|---|---|---|\n";
   for (const WorkerRow& row : report.worker_rows) {
     const double wall_s = seconds(row.stats.wall_ns);
     const std::string label = thread_label(row.tid);
     std::snprintf(line, sizeof(line),
-                  "| %s | %.4f | %.4f | %.1f | %llu | %llu | %llu |\n",
+                  "| %s | %.4f | %.4f | %.1f | %llu | %llu |\n",
                   label.c_str(), seconds(row.stats.busy_ns),
                   seconds(row.stats.idle_ns),
                   wall_s > 0.0 ? 100.0 * seconds(row.stats.busy_ns) / wall_s : 0.0,
                   static_cast<unsigned long long>(row.stats.chunks),
-                  static_cast<unsigned long long>(row.stats.steals),
                   static_cast<unsigned long long>(row.stats.pulls));
     out << line;
   }

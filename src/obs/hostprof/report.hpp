@@ -9,8 +9,8 @@
 //     one named track per thread (main + each pool worker), loadable in
 //     Perfetto / chrome://tracing.
 //   * The attribution report — parallel efficiency, serial fraction, Amdahl
-//     bounds, per-chunk imbalance and steal attribution, and a ranked phase
-//     table, as markdown.
+//     bounds, per-chunk imbalance, per-worker claim accounting, and a
+//     ranked phase table, as markdown.
 //
 // Everything here is host-time presentation: these files are never compared
 // byte-for-byte and never feed deterministic artifacts.
@@ -39,6 +39,8 @@ void write_prof_chrome_trace(const ProfData& data, std::ostream& out);
 /// Parses a PROF JSONL stream back into ProfData. Returns nullopt (with a
 /// line-numbered reason in `error`) on malformed input, an unknown record
 /// type, or a missing required field — the same checks the CI gate runs.
+/// Version 2 files load too: the `steals` key their worker lines carry is
+/// ignored.
 [[nodiscard]] std::optional<ProfData> read_prof_jsonl(std::istream& in,
                                                       std::string* error = nullptr);
 
@@ -84,8 +86,9 @@ struct ChunkRow {
 ///   parallel_efficiency     busy_ns / (workers * pool_wall_ns): how much of
 ///                    the pool's capacity did real work (1 - idle share).
 ///   shard_imbalance  max / mean of per-chunk wall times ("chunk.run").
-///                    Work stealing bounds it structurally: the name keeps
-///                    the historical gate key, the unit is now a chunk.
+///                    Claiming one chunk at a time bounds it structurally:
+///                    the name keeps the historical gate key, the unit is
+///                    now a chunk.
 ///   main_coverage    Σ depth-0 calling-thread intervals / wall — how much
 ///                    of the run the phase instrumentation accounts for
 ///                    (the CI gate requires >= 95%).

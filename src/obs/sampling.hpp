@@ -8,7 +8,7 @@
 // global workload draw index, or a wire nonce), never on wall clock, shard
 // index, or thread id — so the sampled set is a pure function of (seed,
 // workload) and a `--obs-sample 1/N` fleet-day emits byte-identical sampled
-// artifacts regardless of `--shards` / `--jobs`.
+// artifacts regardless of `--chunk` / `--jobs`.
 //
 // The policy also owns the memory-budget degradation rule: given a byte
 // budget, note_footprint() doubles the sampling denominator (and counts the

@@ -1,8 +1,8 @@
-// Host-time self-profiling and thread-safety of the run_tasks work-stealing
-// pool. The suite names are the TSan gate's filter
-// (`--gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*'` in ci.sh):
-// they drive the pool and the raw deque under live contention to prove the
-// lock-free paths are race-free and the accounting adds up.
+// Host-time self-profiling and thread-safety of the run_tasks claim-cursor
+// pool. The suite name is the TSan gate's filter
+// (`--gtest_filter='RunTasksHostprof.*'` in ci.sh): these tests drive the
+// pool under live contention on the shared cursor to prove the claim path
+// is race-free, every task runs exactly once, and the accounting adds up.
 #include "deploy/exec.hpp"
 
 #include <gtest/gtest.h>
@@ -10,10 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "core/rng.hpp"
 #include "obs/hostprof/hostprof.hpp"
 #include "obs/hostprof/report.hpp"
 
@@ -73,21 +71,17 @@ TEST(RunTasksHostprof, PoolAccountingAddsUp) {
   EXPECT_TRUE(saw_join);
   EXPECT_FALSE(main_tl.worker.valid) << "pool path: workers own the stats";
 
-  // Workers: stats valid, busy + idle == wall exactly, stealing bounded by
-  // execution, every acquisition round counted (each worker's final miss
-  // pulls too), and the chunk.run intervals jointly cover every task
-  // exactly once — no matter who stole what from whom.
+  // Workers: stats valid, busy + idle == wall exactly, one pull per claim
+  // (each worker's final miss included), and the chunk.run intervals
+  // jointly cover every task exactly once — no matter who claimed what.
   std::uint64_t total_chunks = 0;
-  std::uint64_t total_steals = 0;
   std::vector<int> task_seen(kTasks, 0);
   for (std::size_t w = 1; w < data.timelines.size(); ++w) {
     const TimelineData& tl = data.timelines[w];
     ASSERT_TRUE(tl.worker.valid) << "worker tid " << tl.tid;
     EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
-    EXPECT_GE(tl.worker.pulls, tl.worker.chunks + 1) << "the final miss pulls too";
-    EXPECT_LE(tl.worker.steals, tl.worker.chunks);
+    EXPECT_EQ(tl.worker.pulls, tl.worker.chunks + 1) << "the final miss pulls too";
     total_chunks += tl.worker.chunks;
-    total_steals += tl.worker.steals;
     std::uint64_t busy_from_intervals = 0;
     for (const auto& iv : tl.intervals) {
       ASSERT_EQ(iv.phase, obs::hostprof::kPhaseChunk);
@@ -99,7 +93,6 @@ TEST(RunTasksHostprof, PoolAccountingAddsUp) {
     EXPECT_LE(busy_from_intervals, tl.worker.busy_ns);
   }
   EXPECT_EQ(total_chunks, kTasks);
-  EXPECT_LE(total_steals, total_chunks);
   for (std::size_t t = 0; t < kTasks; ++t) {
     EXPECT_EQ(task_seen[t], 1) << "task " << t;
   }
@@ -122,7 +115,7 @@ TEST(RunTasksHostprof, InlinePathRecordsOnMainTimeline) {
   const TimelineData& tl = data.timelines[0];
   ASSERT_TRUE(tl.worker.valid);
   EXPECT_EQ(tl.worker.chunks, 3u);
-  EXPECT_EQ(tl.worker.steals, 0u);
+  EXPECT_EQ(tl.worker.pulls, 4u) << "three claims plus the final miss";
   EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
   std::size_t chunk_runs = 0;
   for (const auto& iv : tl.intervals) {
@@ -159,65 +152,34 @@ TEST(RunTasksHostprof, ExceptionStillJoinsAndRethrows) {
   }
 }
 
-// Randomized interleaving of one owner (push/take) against competing thieves
-// on the raw deque. Run under TSan by the ci gate; the assertions are the
-// exactly-once contract — every pushed task comes back exactly once, across
-// owner and thieves combined — plus bounded occupancy.
-TEST(WorkStealingDequeTsan, RandomizedOwnerAndThievesExactlyOnce) {
-  constexpr std::size_t kRounds = 4;
-  constexpr std::size_t kThieves = 3;
-  constexpr std::size_t kTotal = 4096;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    WorkStealingDeque dq(kTotal);
-    std::vector<std::atomic<int>> claimed(kTotal);
-    std::atomic<bool> owner_done{false};
-    std::atomic<std::size_t> taken{0};
-
-    std::vector<std::thread> thieves;
-    thieves.reserve(kThieves);
-    for (std::size_t i = 0; i < kThieves; ++i) {
-      thieves.emplace_back([&, i] {
-        core::Rng rng(0xFEED + round * 31 + i);
-        while (taken.load(std::memory_order_acquire) < kTotal) {
-          std::size_t task = 0;
-          if (dq.steal(task)) {
-            claimed[task].fetch_add(1, std::memory_order_relaxed);
-            taken.fetch_add(1, std::memory_order_release);
-          } else if (owner_done.load(std::memory_order_acquire) &&
-                     dq.size() == 0) {
-            break;
-          }
-          if (rng.bernoulli(0.25)) std::this_thread::yield();
-        }
-      });
-    }
-
-    // The owner interleaves pushes and takes in a seeded random pattern so
-    // the bottom end churns against the thieves' top-end CAS traffic.
-    core::Rng rng(0xACE0 + round);
-    std::size_t next = 0;
-    while (next < kTotal || dq.size() > 0) {
-      const bool can_push = next < kTotal;
-      if (can_push && (dq.size() == 0 || rng.bernoulli(0.6))) {
-        ASSERT_TRUE(dq.push(next));
-        ++next;
-      } else {
-        std::size_t task = 0;
-        if (dq.take(task)) {
-          claimed[task].fetch_add(1, std::memory_order_relaxed);
-          taken.fetch_add(1, std::memory_order_release);
-        }
-      }
-      ASSERT_LE(dq.size(), kTotal);
-    }
-    owner_done.store(true, std::memory_order_release);
-    for (std::thread& t : thieves) t.join();
-
-    EXPECT_EQ(taken.load(), kTotal) << "round " << round;
-    for (std::size_t t = 0; t < kTotal; ++t) {
-      ASSERT_EQ(claimed[t].load(), 1) << "task " << t << " round " << round;
-    }
+// Thousands of near-empty tasks on eight workers keep the shared cursor
+// under live contention (the TSan gate's point): each task still runs
+// exactly once, and each worker's pulls are its chunks plus one final miss.
+TEST(RunTasksHostprof, ManyWorkersTinyTasksExactlyOnce) {
+  constexpr std::size_t kTinyTasks = 4096;
+  constexpr std::size_t kWorkers = 8;
+  HostProfiler prof;
+  std::vector<std::atomic<int>> ran(kTinyTasks);
+  run_tasks(
+      kTinyTasks, kWorkers,
+      [&](std::size_t task) { ran[task].fetch_add(1, std::memory_order_relaxed); },
+      &prof);
+  for (std::size_t t = 0; t < kTinyTasks; ++t) {
+    ASSERT_EQ(ran[t].load(), 1) << "task " << t;
   }
+
+  prof.finish();
+  const ProfData data = prof.snapshot();
+  ASSERT_EQ(data.timelines.size(), 1 + kWorkers);
+  std::uint64_t total_chunks = 0;
+  for (std::size_t w = 1; w < data.timelines.size(); ++w) {
+    const TimelineData& tl = data.timelines[w];
+    ASSERT_TRUE(tl.worker.valid) << "worker tid " << tl.tid;
+    EXPECT_EQ(tl.worker.pulls, tl.worker.chunks + 1) << "worker tid " << tl.tid;
+    EXPECT_EQ(tl.worker.busy_ns + tl.worker.idle_ns, tl.worker.wall_ns);
+    total_chunks += tl.worker.chunks;
+  }
+  EXPECT_EQ(total_chunks, kTinyTasks);
 }
 
 }  // namespace

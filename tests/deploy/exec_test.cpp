@@ -1,8 +1,8 @@
 // Determinism contract of the partition-free execution plane (deploy/exec.hpp
-// + the chunked simulate_fleet): the work-stealing deque hands out each task
-// exactly once, run_tasks covers [0, n) at any job count, the analytic
-// backend is bit-exact for any chunk size, and no artifact — result, health
-// JSON, metrics JSON, span JSON — may depend on `chunk` or `jobs`.
+// + the chunked simulate_fleet): run_tasks covers [0, n) exactly once at any
+// job count, the analytic backend is bit-exact for any chunk size, and no
+// artifact — result, health JSON, metrics JSON, span JSON — may depend on
+// `chunk` or `jobs`.
 #include "deploy/exec.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "core/rng.hpp"
 #include "dataset/generator.hpp"
 #include "deploy/fleet_sim.hpp"
-#include "netsim/scheduler.hpp"
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
 #include "obs/hub.hpp"
@@ -64,47 +63,6 @@ TEST(StreamSeed, ClosedFormMatchesIterativeSplitmix64Sequence) {
       EXPECT_EQ(core::stream_seed(seed, stream), iterative(seed, stream))
           << "seed " << seed << " stream " << stream;
     }
-  }
-}
-
-TEST(WorkStealingDeque, OwnerTakesLifoThiefStealsFifo) {
-  WorkStealingDeque dq(8);
-  for (std::size_t t = 0; t < 5; ++t) EXPECT_TRUE(dq.push(t));
-  EXPECT_EQ(dq.size(), 5u);
-  std::size_t task = 99;
-  ASSERT_TRUE(dq.take(task));
-  EXPECT_EQ(task, 4u);  // owner pops the newest
-  ASSERT_TRUE(dq.steal(task));
-  EXPECT_EQ(task, 0u);  // thief claims the oldest
-  ASSERT_TRUE(dq.steal(task));
-  EXPECT_EQ(task, 1u);
-  ASSERT_TRUE(dq.take(task));
-  EXPECT_EQ(task, 3u);
-  ASSERT_TRUE(dq.take(task));
-  EXPECT_EQ(task, 2u);
-  EXPECT_FALSE(dq.take(task));
-  EXPECT_FALSE(dq.steal(task));
-  EXPECT_EQ(dq.size(), 0u);
-}
-
-TEST(WorkStealingDeque, PushRefusesBeyondCapacity) {
-  WorkStealingDeque dq(4);
-  EXPECT_EQ(dq.capacity(), 4u);
-  for (std::size_t t = 0; t < 4; ++t) EXPECT_TRUE(dq.push(t));
-  EXPECT_FALSE(dq.push(4));
-  std::size_t task = 0;
-  ASSERT_TRUE(dq.steal(task));  // frees the oldest slot
-  EXPECT_TRUE(dq.push(4));
-}
-
-TEST(WorkStealingDeque, ReusableAfterDraining) {
-  WorkStealingDeque dq(2);
-  std::size_t task = 0;
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(dq.push(static_cast<std::size_t>(round)));
-    ASSERT_TRUE(round % 2 == 0 ? dq.take(task) : dq.steal(task));
-    EXPECT_EQ(task, static_cast<std::size_t>(round));
-    EXPECT_FALSE(dq.take(task));
   }
 }
 
@@ -215,23 +173,6 @@ Artifacts run_packet(std::size_t chunk, std::size_t jobs) {
   artifacts.tests = result.tests_simulated;
   artifacts.dropped = result.tests_dropped;
   return artifacts;
-}
-
-TEST(ChunkedFleet, PacketArtifactsIdenticalAcrossQueueFrontEnds) {
-  // The calendar-queue front-end is a pure scheduling-structure swap: a full
-  // fleet-day replayed on it must reproduce the reference binary heap's
-  // artifacts byte for byte — same event order, same RNG draws, same JSON.
-  using FrontEnd = netsim::Scheduler::FrontEnd;
-  netsim::Scheduler::set_default_front_end(FrontEnd::kHeap);
-  const Artifacts heap = run_packet(64, 1);
-  netsim::Scheduler::set_default_front_end(FrontEnd::kCalendar);
-  const Artifacts calendar = run_packet(64, 1);
-  EXPECT_EQ(heap.tests, calendar.tests);
-  EXPECT_EQ(heap.dropped, calendar.dropped);
-  EXPECT_EQ(heap.busy_windows, calendar.busy_windows);
-  EXPECT_EQ(heap.health, calendar.health);
-  EXPECT_EQ(heap.metrics, calendar.metrics);
-  EXPECT_EQ(heap.spans, calendar.spans);
 }
 
 TEST(ChunkedFleet, PacketArtifactsIndependentOfPartitionAndJobs) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -175,7 +177,7 @@ TEST(Scheduler, LateInsertBehindSweepCursorFiresInOrder) {
   // calendar's active heap. A subsequent schedule_at() into the gap between
   // now and that bucket must not be parked in a behind-cursor ring bucket
   // (which would fire it a full ~268 ms lap late, after the 100 ms event).
-  Scheduler sched(Scheduler::FrontEnd::kCalendar);
+  Scheduler sched;
   std::vector<int> order;
   sched.schedule_at(milliseconds(100), [&] { order.push_back(100); });
   sched.run_until(milliseconds(1));
@@ -185,87 +187,192 @@ TEST(Scheduler, LateInsertBehindSweepCursorFiresInOrder) {
   EXPECT_EQ(sched.now(), milliseconds(100));
 }
 
-TEST(Scheduler, CalendarMatchesHeapUnderInterleavedRunUntil) {
-  // A/B determinism with external scheduling between run_until() steps: the
-  // final peek of each step can sweep a future bucket into the calendar's
-  // active heap, so the next external push often lands behind the sweep
-  // cursor. Fire sequences must match the reference heap exactly, and the
-  // clock must never move backwards.
-  const auto run_with = [](Scheduler::FrontEnd fe) {
-    Scheduler sched(fe);
-    core::Rng rng(424242);
-    std::vector<std::pair<core::SimTime, int>> fired;
-    int next_id = 0;
-    for (int step = 0; step < 300; ++step) {
-      const auto pushes = rng.uniform_int(0, 3);
-      for (std::int64_t k = 0; k < pushes; ++k) {
-        // Offsets span same-bucket, mid-ring, and beyond-horizon targets.
-        const core::SimTime when = sched.now() + rng.uniform_int(0, milliseconds(400));
-        const int id = next_id++;
-        sched.schedule_at(when, [&fired, &sched, id] {
-          fired.emplace_back(sched.now(), id);
-        });
-      }
-      const core::SimTime before = sched.now();
-      sched.run_until(sched.now() + rng.uniform_int(0, milliseconds(120)));
-      EXPECT_GE(sched.now(), before);
-    }
-    sched.run();
-    return fired;
+/// Test-side reference for the fire order. Every event is logged just before
+/// its schedule_at() with its target time and its scheduling order (a
+/// counter of schedule calls, mirroring the scheduler's seq). A new key is
+/// never below the last popped (when, seq) — its time is >= now and its seq
+/// is the largest yet — so a correct queue fires the non-cancelled events in
+/// exactly the sorted (when, scheduling order) of this log.
+struct FireOracle {
+  struct Scheduled {
+    core::SimTime when = 0;
+    std::size_t order = 0;
+    int id = 0;
+    bool cancelled = false;
   };
-  const auto heap = run_with(Scheduler::FrontEnd::kHeap);
-  const auto calendar = run_with(Scheduler::FrontEnd::kCalendar);
-  ASSERT_FALSE(heap.empty());
-  EXPECT_EQ(heap, calendar);
-  // The sequence itself must be sorted by fire time (no backwards pops).
-  for (std::size_t i = 1; i < calendar.size(); ++i) {
-    EXPECT_LE(calendar[i - 1].first, calendar[i].first);
+  std::vector<Scheduled> scheduled;
+  std::vector<std::pair<core::SimTime, int>> fired;
+
+  void expect(core::SimTime when, int id) {
+    scheduled.push_back({when, scheduled.size(), id});
   }
+
+  /// Callback that records its firing as (now, id).
+  [[nodiscard]] auto fire(const Scheduler& sched, int id) {
+    return [this, &sched, id] { fired.emplace_back(sched.now(), id); };
+  }
+
+  [[nodiscard]] std::vector<std::pair<core::SimTime, int>> sorted_order() const {
+    std::vector<Scheduled> live;
+    for (const Scheduled& s : scheduled) {
+      if (!s.cancelled) live.push_back(s);
+    }
+    std::sort(live.begin(), live.end(), [](const Scheduled& a, const Scheduled& b) {
+      return a.when != b.when ? a.when < b.when : a.order < b.order;
+    });
+    std::vector<std::pair<core::SimTime, int>> out;
+    out.reserve(live.size());
+    for (const Scheduled& s : live) out.emplace_back(s.when, s.id);
+    return out;
+  }
+};
+
+TEST(Scheduler, CalendarMatchesHeapUnderInterleavedRunUntil) {
+  // External scheduling between run_until() steps: the final peek of each
+  // step can sweep a future bucket into the calendar's active heap, so the
+  // next external push often lands behind the sweep cursor. The fire
+  // sequence must be the sorted reference order exactly, and the clock must
+  // never move backwards.
+  Scheduler sched;
+  core::Rng rng(424242);
+  FireOracle oracle;
+  int next_id = 0;
+  for (int step = 0; step < 300; ++step) {
+    const auto pushes = rng.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < pushes; ++k) {
+      // Offsets span same-bucket, mid-ring, and beyond-horizon targets.
+      const core::SimTime when = sched.now() + rng.uniform_int(0, milliseconds(400));
+      const int id = next_id++;
+      oracle.expect(when, id);
+      sched.schedule_at(when, oracle.fire(sched, id));
+    }
+    const core::SimTime before = sched.now();
+    sched.run_until(sched.now() + rng.uniform_int(0, milliseconds(120)));
+    EXPECT_GE(sched.now(), before);
+  }
+  sched.run();
+  ASSERT_FALSE(oracle.fired.empty());
+  EXPECT_EQ(oracle.fired.size(), oracle.scheduled.size());
+  EXPECT_EQ(oracle.fired, oracle.sorted_order());
 }
 
 TEST(Scheduler, CalendarFrontEndMatchesReferenceHeap) {
-  // Random churn replayed on both queue front-ends: uniform and far-future
-  // arrivals (beyond the calendar ring, forcing rebase), mid-drain inserts
-  // from firing events, and cancellations. The fire sequence — time and
-  // insertion id — must match the reference binary heap exactly.
-  const auto run_with = [](Scheduler::FrontEnd fe) {
-    Scheduler sched(fe);
-    core::Rng rng(2022);
-    std::vector<std::pair<core::SimTime, int>> fired;
-    std::vector<EventHandle> handles;
-    int next_id = 0;
-    for (int i = 0; i < 500; ++i) {
-      // Mix of near (same bucket), mid-ring, and far-future (several times
-      // the ~268 ms ring horizon) target times; duplicates are common and
-      // must resolve by insertion order.
-      const core::SimTime when = rng.uniform_int(0, seconds(2));
-      const int id = next_id++;
-      handles.push_back(sched.schedule_at(when, [&fired, &sched, id] {
-        fired.emplace_back(sched.now(), id);
+  // Random churn: uniform and far-future arrivals (beyond the calendar ring,
+  // forcing rebase), mid-drain inserts from firing events, and
+  // cancellations. The fire sequence — time and id — must be the sorted
+  // reference order of every non-cancelled event; duplicate times resolve by
+  // scheduling order.
+  Scheduler sched;
+  core::Rng rng(2022);
+  FireOracle oracle;
+  std::vector<EventHandle> handles;  // handles[i] belongs to oracle.scheduled[i]
+  int next_id = 0;
+  for (int i = 0; i < 500; ++i) {
+    // Mix of near (same bucket), mid-ring, and far-future (several times the
+    // ~268 ms ring horizon) target times; duplicates are common.
+    const core::SimTime when = rng.uniform_int(0, seconds(2));
+    const int id = next_id++;
+    oracle.expect(when, id);
+    handles.push_back(sched.schedule_at(when, oracle.fire(sched, id)));
+    if (i % 4 == 0) {
+      const int child = next_id++;
+      oracle.expect(when, child);
+      handles.push_back(sched.schedule_at(when, [&oracle, &sched, &rng, &handles, child] {
+        oracle.fired.emplace_back(sched.now(), child);
+        // Mid-drain insert relative to the firing time: lands in the active
+        // bucket or just past it.
+        const int grandchild = -child;
+        const core::SimDuration delay = rng.uniform_int(0, milliseconds(1));
+        oracle.expect(sched.now() + delay, grandchild);
+        handles.push_back(sched.schedule_in(delay, oracle.fire(sched, grandchild)));
       }));
-      if (i % 4 == 0) {
-        const int child = next_id++;
-        handles.push_back(
-            sched.schedule_at(when, [&fired, &sched, &rng, &handles, child] {
-              fired.emplace_back(sched.now(), child);
-              // Mid-drain insert relative to the firing time: lands in the
-              // active bucket or just past it.
-              const int grandchild = -child;
-              handles.push_back(sched.schedule_in(
-                  rng.uniform_int(0, milliseconds(1)), [&fired, &sched, grandchild] {
-                    fired.emplace_back(sched.now(), grandchild);
-                  }));
-            }));
-      }
     }
-    for (std::size_t i = 0; i < handles.size(); i += 5) handles[i].cancel();
-    sched.run();
-    return fired;
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 5) {
+    handles[i].cancel();
+    oracle.scheduled[i].cancelled = true;
+  }
+  sched.run();
+  ASSERT_FALSE(oracle.fired.empty());
+  EXPECT_EQ(oracle.fired, oracle.sorted_order());
+}
+
+TEST(CalendarEventQueue, MatchesReferenceHeapOpForOp) {
+  // One push/peek/pop sequence replayed on the calendar and on a plain
+  // binary min-heap of keys: every peek and pop must return the same key.
+  // A 16-bucket ring of 1024 ns buckets (16.4 us horizon) makes sweeps,
+  // rebases and underflow common. Pushes keep the scheduler's contract:
+  // never earlier than the last popped time.
+  CalendarEventQueue calendar(/*width_shift=*/10, /*bucket_count=*/16);
+  EventKeyHeap heap;
+  std::uint64_t seq = 0;
+  core::SimTime last_popped = 0;
+  const auto fields = [](const EventKey& k) { return std::tuple(k.when, k.seq, k.slot); };
+  const auto push = [&](core::SimTime when) {
+    ASSERT_GE(when, last_popped);
+    const EventKey key{when, seq, static_cast<std::uint32_t>(seq % 97)};
+    ++seq;
+    calendar.push(key);
+    heap.push(key);
+    ASSERT_EQ(calendar.size(), heap.size());
   };
-  const auto heap = run_with(Scheduler::FrontEnd::kHeap);
-  const auto calendar = run_with(Scheduler::FrontEnd::kCalendar);
-  ASSERT_FALSE(heap.empty());
-  EXPECT_EQ(heap, calendar);
+  const auto peek = [&] {
+    EventKey key;
+    ASSERT_EQ(calendar.peek(key), !heap.empty());
+    if (!heap.empty()) {
+      ASSERT_EQ(fields(key), fields(heap.top()));
+    }
+  };
+  const auto pop = [&] {
+    ASSERT_FALSE(heap.empty());
+    const EventKey key = calendar.pop();
+    ASSERT_EQ(fields(key), fields(heap.top()));
+    heap.pop();
+    last_popped = key.when;
+    ASSERT_EQ(calendar.empty(), heap.empty());
+  };
+
+  // Peek, then push behind the sweep cursor: the peek swept the bucket at
+  // 10 us into the active heap, so the 6 us key lands below the watermark.
+  push(10'000);
+  peek();
+  push(6'000);
+  pop();
+  EXPECT_EQ(last_popped, 6'000);
+  pop();
+  EXPECT_EQ(last_popped, 10'000);
+
+  // Beyond-horizon rebase: the peek jumps the window to the far key, and a
+  // push between the last popped time and the new base is an underflow.
+  push(1'000'000);
+  peek();
+  push(20'000);
+  push(1'000'000);  // same time as the far key, later in scheduling order
+  pop();
+  EXPECT_EQ(last_popped, 20'000);
+  pop();
+  pop();
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_GE(calendar.stats().rebases, 1u);
+  EXPECT_GE(calendar.stats().far_pushes, 1u);
+  EXPECT_GE(calendar.stats().underflow_pushes, 1u);
+
+  // Seeded random churn over near, in-ring and beyond-horizon targets.
+  core::Rng rng(77);
+  for (int op = 0; op < 20'000; ++op) {
+    const double dice = rng.uniform();
+    if (dice < 0.45) {
+      const std::int64_t reach = dice < 0.2 ? 2'048 : dice < 0.4 ? 16'384 : 200'000;
+      push(last_popped + rng.uniform_int(0, reach));
+    } else if (dice < 0.65) {
+      peek();
+    } else if (!heap.empty()) {
+      pop();
+    }
+    if (HasFatalFailure()) return;
+  }
+  while (!heap.empty() && !HasFatalFailure()) pop();
+  EXPECT_TRUE(calendar.empty());
 }
 
 }  // namespace

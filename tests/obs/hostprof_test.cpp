@@ -106,7 +106,7 @@ ProfData synthetic_profile() {
 
   TimelineData w1;
   w1.tid = 1;
-  w1.worker = {true, 50'000'000, 10'000'000, 60'000'000, 3, 1, 2};
+  w1.worker = {true, 50'000'000, 10'000'000, 60'000'000, 3, 0, 2};
   w1.phases.push_back({kPhaseChunk, 2, 50'000'000, 40'000'000});
   w1.intervals.push_back({kPhaseChunk, 10'000'000, 40'000'000, 0, 0});
   w1.intervals.push_back({kPhaseChunk, 50'000'000, 10'000'000, 0, 2});
@@ -165,6 +165,9 @@ TEST(ProfJsonl, RoundTripsThroughWriterAndReader) {
   const ProfData data = synthetic_profile();
   std::ostringstream out;
   write_prof_jsonl(data, out);
+  // Version 3: worker lines carry no `steals` key.
+  EXPECT_NE(out.str().find("\"version\":3"), std::string::npos);
+  EXPECT_EQ(out.str().find("steals"), std::string::npos);
 
   std::istringstream in(out.str());
   std::string error;
@@ -192,6 +195,25 @@ TEST(ProfJsonl, RoundTripsThroughWriterAndReader) {
   EXPECT_EQ(a.busy_ns, b.busy_ns);
   EXPECT_EQ(a.serial_ns, b.serial_ns);
   EXPECT_DOUBLE_EQ(a.serial_fraction, b.serial_fraction);
+}
+
+TEST(ProfJsonl, ReaderLoadsVersionTwoAndIgnoresSteals) {
+  std::istringstream in(
+      "{\"type\":\"meta\",\"tool\":\"swiftest-hostprof\",\"version\":2,"
+      "\"chunks\":2,\"jobs\":2,\"timelines\":2,\"wall_ns\":1000}\n"
+      "{\"type\":\"timeline\",\"tid\":0,\"intervals\":0,\"dropped\":0}\n"
+      "{\"type\":\"timeline\",\"tid\":1,\"intervals\":0,\"dropped\":0}\n"
+      "{\"type\":\"worker\",\"tid\":1,\"busy_ns\":600,\"idle_ns\":400,"
+      "\"wall_ns\":1000,\"pulls\":3,\"steals\":1,\"chunks\":2}\n");
+  std::string error;
+  const auto loaded = read_prof_jsonl(in, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  ASSERT_EQ(loaded->timelines.size(), 2u);
+  const TimelineData& w1 = loaded->timelines[1];
+  EXPECT_TRUE(w1.worker.valid);
+  EXPECT_EQ(w1.worker.pulls, 3u);
+  EXPECT_EQ(w1.worker.chunks, 2u);
+  EXPECT_EQ(w1.worker.steals, 0u);
 }
 
 TEST(ProfJsonl, ReaderRejectsMalformedInput) {

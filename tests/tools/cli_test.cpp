@@ -384,22 +384,19 @@ TEST(Cli, FleetValidatesExecutionFlags) {
   EXPECT_EQ(run({"fleet", "--days", "1", "--jobs", "-2"}, output), 2);
   EXPECT_EQ(run({"fleet", "--days", "1", "--chunk", "0"}, output), 2);
   EXPECT_NE(output.find("--chunk must be an integer >= 1"), std::string::npos);
-  // The deprecated --shards alias is ignored, but nonsense is still an error.
-  EXPECT_EQ(run({"fleet", "--days", "1", "--shards", "0"}, output), 2);
-  EXPECT_NE(output.find("--shards"), std::string::npos);
   // --jobs 0 is valid: it means the hardware concurrency.
   EXPECT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "50", "--jobs", "0"},
                 output),
             0);
 }
 
-TEST(Cli, FleetShardsFlagIsIgnoredAndNeverAnnotated) {
-  // The whole-shard runtime is gone: --shards no longer shapes anything, so
-  // neither stdout nor any artifact may mention a partition.
-  const std::string health_path = testing::TempDir() + "/cli_fleet_sharded_health.json";
+TEST(Cli, FleetExecutionShapeIsNeverAnnotated) {
+  // A parallel run shapes nothing but wall-clock, so neither stdout nor any
+  // artifact may mention a partition.
+  const std::string health_path = testing::TempDir() + "/cli_fleet_jobs_health.json";
   std::string output;
-  ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "500", "--shards", "4",
-                 "--jobs", "2", "--health-out", health_path},
+  ASSERT_EQ(run({"fleet", "--days", "1", "--tests-per-day", "500", "--jobs", "2",
+                 "--health-out", health_path},
                 output),
             0);
   EXPECT_EQ(output.find("shards"), std::string::npos);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite twice —
 # once plain, once under AddressSanitizer + UBSan (SWIFTEST_SANITIZE=address) —
-# plus a ThreadSanitizer job that drives the work-stealing fleet runtime
+# plus a ThreadSanitizer job that drives the parallel fleet runtime
 # (SWIFTEST_SANITIZE=thread), the only place the codebase runs real threads.
 #
 # Usage: tools/ci.sh [--plain-only|--asan-only|--tsan-only|--scaling-only]
@@ -228,7 +228,7 @@ import json, sys
 REQUIRED = {
     "meta": {"tool", "version", "chunks", "jobs", "timelines", "wall_ns"},
     "timeline": {"tid", "intervals", "dropped"},
-    "worker": {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls", "steals", "chunks"},
+    "worker": {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls", "chunks"},
     "phase": {"tid", "name", "count", "total_ns", "max_ns"},
     "interval": {"tid", "depth", "phase", "t0_ns", "dur_ns", "arg"},
 }
@@ -252,6 +252,8 @@ with open(sys.argv[1]) as stream:
         elif kind == "worker":
             if rec["busy_ns"] + rec["idle_ns"] != rec["wall_ns"]:
                 sys.exit(f"line {lineno}: worker busy+idle != wall")
+            if rec["pulls"] != rec["chunks"] + 1:
+                sys.exit(f"line {lineno}: worker pulls != chunks + 1")
 if meta is None:
     sys.exit("no meta record")
 if counts["timeline"] != meta["timelines"]:
@@ -399,7 +401,7 @@ run_bench_gate() {
     "${out_dir}/BENCH_obs_overhead.json"
 }
 
-# Release-build jobs-scaling gate: the work-stealing pool exists to make
+# Release-build jobs-scaling gate: the worker pool exists to make
 # chunk workers scale, so prove it — bench_fleet_shard runs a packet
 # fleet-day at --chunk 32 across jobs {1,2,4,8}. What is assertable depends
 # on the host:
@@ -453,15 +455,15 @@ PYEOF
 }
 
 # ThreadSanitizer job: build the CLI under -fsanitize=thread and run a
-# chunked packet fleet-day on the real work-stealing pool (--chunk 64
-# --jobs 4). Chunk workers share nothing but the partitioned workload, the
-# lock-free deques, and the join-then-merge handoff, so a TSan-clean run
-# certifies the substrate's isolation contract; any cross-worker data race
-# fails CI here. Two gtest suites ride the same build: RunTasksHostprof
-# drives the pool with a live profiler (the reserve-before-spawn /
-# read-after-join contract, DESIGN.md §13), and WorkStealingDequeTsan churns
-# the raw Chase-Lev deque — one owner push/take against competing thieves —
-# under randomized interleavings with exactly-once assertions.
+# chunked packet fleet-day on the real worker pool (--chunk 64 --jobs 4).
+# Chunk workers share nothing but the partitioned workload, the atomic claim
+# cursor, and the join-then-merge handoff, so a TSan-clean run certifies the
+# substrate's isolation contract; any cross-worker data race fails CI here.
+# The RunTasksHostprof gtest suite rides the same build: it drives the pool
+# with a live profiler (the reserve-before-spawn / read-after-join contract,
+# DESIGN.md §13), including 4096 near-empty tasks on 8 workers that keep the
+# cursor under contention, with exactly-once and pulls == chunks + 1
+# assertions.
 run_tsan_fleet() {
   local build_dir="build-tsan"
   echo "=== configure ${build_dir} (-DSWIFTEST_SANITIZE=thread) ==="
@@ -469,9 +471,9 @@ run_tsan_fleet() {
   echo "=== build ${build_dir} (swiftest-cli, test_deploy) ==="
   cmake --build "${REPO_ROOT}/${build_dir}" -j "${JOBS}" \
     --target swiftest-cli --target test_deploy
-  echo "=== TSan work-stealing pool + raw deque (live contention) ==="
+  echo "=== TSan worker pool (live contention on the claim cursor) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
-    --gtest_filter='RunTasksHostprof.*:WorkStealingDequeTsan.*'
+    --gtest_filter='RunTasksHostprof.*'
   echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, profiled) ==="
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4

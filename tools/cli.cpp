@@ -62,10 +62,10 @@ const std::string kUsage = std::string(
     "  fleet    [--servers N] [--days D] [--tests-per-day N]\n"
     "           [--backend analytic|packet] [--chunk N] [--jobs N]\n"
     "           --chunk bounds the tests per execution chunk (default 256);\n"
-    "           --jobs replays chunks on up to N work-stealing worker\n"
-    "           threads (0 = hardware concurrency). Every artifact is a pure\n"
-    "           function of (config, seed): neither flag changes any output.\n"
-    "           --shards N is a deprecated no-op alias kept for old scripts\n"
+    "           --jobs replays chunks on up to N worker threads that claim\n"
+    "           them in order (0 = hardware concurrency). Every artifact is a\n"
+    "           pure function of (config, seed): neither flag changes any\n"
+    "           output.\n"
     "  trace    analyze FILE [--json OUT] [--md OUT]\n"
     "           critical-path latency attribution of a span JSON file\n"
     "  profile  report FILE [--md OUT]\n"
@@ -777,15 +777,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   if (!jobs) return 2;
   const auto chunk = parse_count("chunk", 0, 1);
   if (!chunk) return 2;
-  if (options.has("shards")) {
-    // Deprecated alias from the whole-shard runtime. It no longer shapes
-    // anything — the chunk plane erased the partition from every artifact —
-    // but a nonsense value is still a usage error.
-    if (!parse_count("shards", 1, 1)) return 2;
-    obs::logf(obs::LogLevel::kWarn,
-              "--shards is deprecated and ignored; artifacts no longer depend "
-              "on any partition (use --chunk/--jobs to tune execution)");
-  }
   cfg.jobs = static_cast<std::size_t>(*jobs);
   cfg.chunk = static_cast<std::size_t>(*chunk);
   const std::string backend = options.get("backend", "analytic");
@@ -829,7 +820,7 @@ int cmd_fleet(const Options& options, std::ostream& out) {
         {"days", std::to_string(cfg.days)},
         {"tests_per_day", std::to_string(static_cast<long>(cfg.tests_per_day))},
         {"seed", std::to_string(cfg.seed)},
-        {"executor", "chunked-work-stealing/partition-invariant"},
+        {"executor", "chunked/partition-invariant"},
     };
     if (cfg.sample.enabled()) {
       manifest.config.emplace_back("obs.sample", cfg.sample.describe());
