@@ -12,7 +12,7 @@
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
 #include "obs/hostprof/report.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 #include "obs/span/critical_path.hpp"
 #include "obs/span/json.hpp"
 
@@ -43,6 +43,15 @@ bool is_exact_key(std::string_view key) {
   if (key.rfind("cat.", 0) == 0 || key.rfind("counter.", 0) == 0) return true;
   if (key.size() >= 6 && key.substr(key.size() - 6) == ".count") return true;
   return false;
+}
+
+/// The keys of two key-value ranges (maps or pair lists), sorted and unique.
+template <typename RangeA, typename RangeB>
+std::set<std::string> key_union(const RangeA& a, const RangeB& b) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : a) keys.insert(key);
+  for (const auto& [key, value] : b) keys.insert(key);
+  return keys;
 }
 
 std::map<std::string, double> to_value_map(const manifest::ValueList& list) {
@@ -194,10 +203,7 @@ class Differ {
                            const manifest::ValueList& list_b) {
     const std::map<std::string, double> map_a = to_value_map(list_a);
     const std::map<std::string, double> map_b = to_value_map(list_b);
-    std::set<std::string> keys;
-    for (const auto& [key, value] : map_a) keys.insert(key);
-    for (const auto& [key, value] : map_b) keys.insert(key);
-    for (const std::string& key : keys) {
+    for (const std::string& key : key_union(map_a, map_b)) {
       const auto it_a = map_a.find(key);
       const auto it_b = map_b.find(key);
       std::string note;
@@ -206,6 +212,42 @@ class Differ {
       compare_numeric(section, key, it_a == map_a.end() ? 0.0 : it_a->second,
                       it_b == map_b.end() ? 0.0 : it_b->second,
                       is_exact_key(key), std::move(note));
+    }
+  }
+
+  /// Loads artifact `name` of both runs with `load`. Nothing (and no note)
+  /// when deep diffs are off or either run lacks the artifact; a `section`
+  /// "artifacts" note saying `unavailable` when either file fails to load.
+  template <typename T>
+  std::optional<std::pair<T, T>> load_pair(
+      std::string_view name,
+      std::optional<T> (*load)(const std::string&, std::string*),
+      const std::string& section, const char* unavailable) {
+    if (!options_.load_artifacts) return std::nullopt;
+    const manifest::ArtifactRecord* artifact_a = a_.find_artifact(name);
+    const manifest::ArtifactRecord* artifact_b = b_.find_artifact(name);
+    if (artifact_a == nullptr || artifact_b == nullptr) return std::nullopt;
+    std::optional<T> loaded_a = load(artifact_a->path, nullptr);
+    std::optional<T> loaded_b = load(artifact_b->path, nullptr);
+    if (!loaded_a || !loaded_b) {
+      note_entry(section, "artifacts", unavailable);
+      return std::nullopt;
+    }
+    return std::pair<T, T>(std::move(*loaded_a), std::move(*loaded_b));
+  }
+
+  /// Exact per-key comparison of two count maps under `prefix`.
+  void compare_counts(const std::string& section, const std::string& prefix,
+                      const std::map<std::string, std::uint64_t>& counts_a,
+                      const std::map<std::string, std::uint64_t>& counts_b) {
+    const auto count_in = [](const std::map<std::string, std::uint64_t>& counts,
+                             const std::string& key) {
+      const auto it = counts.find(key);
+      return it == counts.end() ? 0.0 : static_cast<double>(it->second);
+    };
+    for (const std::string& key : key_union(counts_a, counts_b)) {
+      compare_numeric(section, prefix + key, count_in(counts_a, key),
+                      count_in(counts_b, key), /*exact=*/true);
     }
   }
 
@@ -219,10 +261,7 @@ class Differ {
   }
 
   void diff_config() {
-    std::set<std::string> keys;
-    for (const auto& [key, value] : a_.config) keys.insert(key);
-    for (const auto& [key, value] : b_.config) keys.insert(key);
-    for (const std::string& key : keys) {
+    for (const std::string& key : key_union(a_.config, b_.config)) {
       const std::optional<std::string> value_a = a_.config_value(key);
       const std::optional<std::string> value_b = b_.config_value(key);
       compare_text("config", key, value_a.value_or("<absent>"),
@@ -274,11 +313,8 @@ class Differ {
   }
 
   void diff_summaries() {
-    std::set<std::string> layers;
-    for (const auto& [layer, values] : a_.summaries) layers.insert(layer);
-    for (const auto& [layer, values] : b_.summaries) layers.insert(layer);
     static const manifest::ValueList kEmpty;
-    for (const std::string& layer : layers) {
+    for (const std::string& layer : key_union(a_.summaries, b_.summaries)) {
       const manifest::ValueList* values_a = a_.find_summary(layer);
       const manifest::ValueList* values_b = b_.find_summary(layer);
       compare_value_lists("summary." + layer,
@@ -291,46 +327,29 @@ class Differ {
   /// summary from the metrics artifact so the diff still has the section.
   void diff_metrics_fallback() {
     if (a_.find_summary("metrics") != nullptr ||
-        b_.find_summary("metrics") != nullptr || !options_.load_artifacts) {
+        b_.find_summary("metrics") != nullptr) {
       return;
     }
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("metrics");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("metrics");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<MetricsSnapshot> snapshot_a =
-        load_metrics_file(artifact_a->path);
-    const std::optional<MetricsSnapshot> snapshot_b =
-        load_metrics_file(artifact_b->path);
-    if (!snapshot_a.has_value() || !snapshot_b.has_value()) {
-      note_entry("summary.metrics", "artifacts",
-                 "metrics artifacts could not be loaded; no metrics deltas");
-      return;
-    }
-    compare_value_lists("summary.metrics", summarize_for_manifest(*snapshot_a),
-                        summarize_for_manifest(*snapshot_b));
+    const auto metrics = load_pair(
+        "metrics", &load_metrics_file, "summary.metrics",
+        "metrics artifacts could not be loaded; no metrics deltas");
+    if (!metrics) return;
+    compare_value_lists("summary.metrics", summarize_for_manifest(metrics->first),
+                        summarize_for_manifest(metrics->second));
   }
 
   void diff_health_cells() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("health");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("health");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<health::HealthArtifact> health_a =
-        health::load_health_file(artifact_a->path);
-    const std::optional<health::HealthArtifact> health_b =
-        health::load_health_file(artifact_b->path);
-    if (!health_a.has_value() || !health_b.has_value()) {
-      note_entry("health", "artifacts",
-                 "health artifacts unavailable — falling back to the "
-                 "summary.health section");
-      return;
-    }
+    const auto health = load_pair(
+        "health", &health::load_health_file, "health",
+        "health artifacts unavailable — falling back to the summary.health "
+        "section");
+    if (!health) return;
+    const auto& [health_a, health_b] = *health;
     std::set<std::pair<std::string, std::string>> cells;
-    for (const auto& [metric, dims] : health_a->metrics) {
-      for (const auto& [dim, stats] : dims) cells.insert({metric, dim});
-    }
-    for (const auto& [metric, dims] : health_b->metrics) {
-      for (const auto& [dim, stats] : dims) cells.insert({metric, dim});
+    for (const health::HealthArtifact* artifact : {&health_a, &health_b}) {
+      for (const auto& [metric, dims] : artifact->metrics) {
+        for (const auto& [dim, stats] : dims) cells.insert({metric, dim});
+      }
     }
     static const health::AggregateStats kZero;
     for (const auto& [metric, dim] : cells) {
@@ -341,8 +360,8 @@ class Differ {
         const auto dim_it = metric_it->second.find(dim);
         return dim_it == metric_it->second.end() ? kZero : dim_it->second;
       };
-      const health::AggregateStats& cell_a = stats_of(*health_a);
-      const health::AggregateStats& cell_b = stats_of(*health_b);
+      const health::AggregateStats& cell_a = stats_of(health_a);
+      const health::AggregateStats& cell_b = stats_of(health_b);
       const std::string prefix = metric + "[" + dim + "]";
       compare_numeric("health", prefix + ".count",
                       static_cast<double>(cell_a.count),
@@ -359,76 +378,32 @@ class Differ {
   }
 
   void diff_trace_deep() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("trace_jsonl");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("trace_jsonl");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<TraceArtifactSummary> trace_a =
-        load_trace_jsonl_file(artifact_a->path);
-    const std::optional<TraceArtifactSummary> trace_b =
-        load_trace_jsonl_file(artifact_b->path);
-    if (!trace_a.has_value() || !trace_b.has_value()) {
-      note_entry("trace", "artifacts",
-                 "trace artifacts unavailable — falling back to the "
-                 "summary.trace section");
-      return;
-    }
-    compare_numeric("trace", "events", static_cast<double>(trace_a->events),
-                    static_cast<double>(trace_b->events), /*exact=*/true);
-    std::set<std::string> categories;
-    for (const auto& [name, count] : trace_a->per_category)
-      categories.insert(name);
-    for (const auto& [name, count] : trace_b->per_category)
-      categories.insert(name);
-    const auto count_in = [](const std::map<std::string, std::uint64_t>& map,
-                             const std::string& key) {
-      const auto it = map.find(key);
-      return it == map.end() ? 0.0 : static_cast<double>(it->second);
-    };
-    for (const std::string& category : categories) {
-      compare_numeric("trace", "cat." + category,
-                      count_in(trace_a->per_category, category),
-                      count_in(trace_b->per_category, category),
-                      /*exact=*/true);
-    }
-    std::set<std::string> names;
-    for (const auto& [name, count] : trace_a->per_name) names.insert(name);
-    for (const auto& [name, count] : trace_b->per_name) names.insert(name);
-    for (const std::string& name : names) {
-      compare_numeric("trace", "event." + name,
-                      count_in(trace_a->per_name, name),
-                      count_in(trace_b->per_name, name), /*exact=*/true);
-    }
+    const auto trace = load_pair(
+        "trace_jsonl", &load_trace_jsonl_file, "trace",
+        "trace artifacts unavailable — falling back to the summary.trace "
+        "section");
+    if (!trace) return;
+    const auto& [trace_a, trace_b] = *trace;
+    compare_numeric("trace", "events", static_cast<double>(trace_a.events),
+                    static_cast<double>(trace_b.events), /*exact=*/true);
+    compare_counts("trace", "cat.", trace_a.per_category, trace_b.per_category);
+    compare_counts("trace", "event.", trace_a.per_name, trace_b.per_name);
   }
 
   void diff_stage_attribution() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("spans");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("spans");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<std::vector<span::SpanData>> spans_a =
-        span::load_spans_file(artifact_a->path);
-    const std::optional<std::vector<span::SpanData>> spans_b =
-        span::load_spans_file(artifact_b->path);
-    if (!spans_a.has_value() || !spans_b.has_value()) {
-      note_entry("stage", "artifacts",
-                 "span artifacts unavailable — no stage-delta attribution");
-      return;
-    }
-    const StageTotals totals_a = stage_totals(span::analyze_spans(*spans_a));
-    const StageTotals totals_b = stage_totals(span::analyze_spans(*spans_b));
+    const auto spans = load_pair(
+        "spans", &span::load_spans_file, "stage",
+        "span artifacts unavailable — no stage-delta attribution");
+    if (!spans) return;
+    const StageTotals totals_a = stage_totals(span::analyze_spans(spans->first));
+    const StageTotals totals_b = stage_totals(span::analyze_spans(spans->second));
 
     report_.has_stage_attribution = true;
     report_.total_time_a_s = totals_a.total_s;
     report_.total_time_b_s = totals_b.total_s;
     report_.total_delta_s = totals_b.total_s - totals_a.total_s;
 
-    std::set<std::string> stage_names;
-    for (const auto& [name, seconds] : totals_a.critical_s)
-      stage_names.insert(name);
-    for (const auto& [name, seconds] : totals_b.critical_s)
-      stage_names.insert(name);
-    for (const std::string& name : stage_names) {
+    for (const std::string& name : key_union(totals_a.critical_s, totals_b.critical_s)) {
       const auto it_a = totals_a.critical_s.find(name);
       const auto it_b = totals_b.critical_s.find(name);
       StageDelta stage;
@@ -458,17 +433,11 @@ class Differ {
   }
 
   void diff_hostprof_deep() {
-    if (!options_.load_artifacts) return;
-    const manifest::ArtifactRecord* artifact_a = a_.find_artifact("prof");
-    const manifest::ArtifactRecord* artifact_b = b_.find_artifact("prof");
-    if (artifact_a == nullptr || artifact_b == nullptr) return;
-    const std::optional<hostprof::ProfData> prof_a =
-        hostprof::load_prof_file(artifact_a->path);
-    const std::optional<hostprof::ProfData> prof_b =
-        hostprof::load_prof_file(artifact_b->path);
-    if (!prof_a.has_value() || !prof_b.has_value()) return;
-    const hostprof::ProfReport report_a = hostprof::analyze_prof(*prof_a);
-    const hostprof::ProfReport report_b = hostprof::analyze_prof(*prof_b);
+    const auto prof = load_pair("prof", &hostprof::load_prof_file, "hostprof",
+                                "prof artifacts unavailable — no hostprof deltas");
+    if (!prof) return;
+    const hostprof::ProfReport report_a = hostprof::analyze_prof(prof->first);
+    const hostprof::ProfReport report_b = hostprof::analyze_prof(prof->second);
     compare_numeric("hostprof", "wall_ms",
                     static_cast<double>(report_a.wall_ns) / 1e6,
                     static_cast<double>(report_b.wall_ns) / 1e6,

@@ -1,12 +1,9 @@
 #include "obs/export.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs {
 namespace {
@@ -166,82 +163,63 @@ std::vector<std::pair<std::string, double>> summarize_for_manifest(
 std::optional<TraceArtifactSummary> parse_trace_jsonl(std::string_view text,
                                                       std::string* error) {
   TraceArtifactSummary summary;
-  std::size_t lineno = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    ++lineno;
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    std::string line_error;
-    const auto doc = health::parse_json(line, &line_error);
-    if (!doc || !doc->is_object()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " +
-                 (doc ? "not an event object" : line_error);
-      }
-      return std::nullopt;
-    }
-    ++summary.events;
-    ++summary.per_category[doc->get_string("cat", "?")];
-    ++summary.per_name[doc->get_string("name", "?")];
-  }
+  const bool ok = for_each_jsonl_object(
+      text,
+      [&summary](const JsonValue& event, std::string*) {
+        ++summary.events;
+        ++summary.per_category[event.get_string("cat", "?")];
+        ++summary.per_name[event.get_string("name", "?")];
+        return true;
+      },
+      error);
+  if (!ok) return std::nullopt;
   return summary;
 }
 
 std::optional<TraceArtifactSummary> load_trace_jsonl_file(const std::string& path,
                                                           std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_trace_jsonl(text.str(), error);
+  return parse_file(path, error, parse_trace_jsonl);
 }
 
 std::optional<MetricsSnapshot> parse_metrics_json(std::string_view text,
                                                   std::string* error) {
-  const auto doc = health::parse_json(text, error);
+  const auto doc = parse_json(text, error);
   if (!doc) return std::nullopt;
   if (!doc->is_object()) {
     if (error != nullptr) *error = "metrics document must be an object";
     return std::nullopt;
   }
   MetricsSnapshot snapshot;
-  if (const health::JsonValue* counters = doc->get("counters");
+  if (const JsonValue* counters = doc->get("counters");
       counters != nullptr && counters->is_object()) {
     for (const auto& [name, value] : counters->members()) {
       snapshot.counters[name] = value.as_u64(0);
     }
   }
-  if (const health::JsonValue* gauges = doc->get("gauges");
+  if (const JsonValue* gauges = doc->get("gauges");
       gauges != nullptr && gauges->is_object()) {
     for (const auto& [name, value] : gauges->members()) {
       snapshot.gauges[name] = value.as_number(0.0);
     }
   }
-  if (const health::JsonValue* histograms = doc->get("histograms");
+  if (const JsonValue* histograms = doc->get("histograms");
       histograms != nullptr && histograms->is_object()) {
     for (const auto& [name, value] : histograms->members()) {
       if (!value.is_object()) continue;
       MetricsSnapshot::HistogramValue h;
-      if (const health::JsonValue* le = value.get("le");
+      if (const JsonValue* le = value.get("le");
           le != nullptr && le->is_array()) {
-        for (const health::JsonValue& bound : le->as_array()) {
+        for (const JsonValue& bound : le->as_array()) {
           h.bounds.push_back(bound.as_number(0.0));
         }
       }
-      if (const health::JsonValue* counts = value.get("counts");
+      if (const JsonValue* counts = value.get("counts");
           counts != nullptr && counts->is_array()) {
-        for (const health::JsonValue& count : counts->as_array()) {
+        for (const JsonValue& count : counts->as_array()) {
           h.counts.push_back(count.as_u64(0));
         }
       }
-      h.count = value.get("count") != nullptr ? value.get("count")->as_u64(0) : 0;
+      h.count = value.get_u64("count", 0);
       h.sum = value.get_number("sum", 0.0);
       snapshot.histograms[name] = std::move(h);
     }
@@ -251,14 +229,7 @@ std::optional<MetricsSnapshot> parse_metrics_json(std::string_view text,
 
 std::optional<MetricsSnapshot> load_metrics_file(const std::string& path,
                                                  std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_metrics_json(text.str(), error);
+  return parse_file(path, error, parse_metrics_json);
 }
 
 }  // namespace swiftest::obs

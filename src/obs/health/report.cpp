@@ -1,12 +1,9 @@
 #include "obs/health/report.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::health {
 
@@ -208,14 +205,14 @@ std::optional<HealthArtifact> parse_health_json(std::string_view text,
       artifact.meta.emplace_back(key, value.as_string());
     }
   }
-  if (const JsonValue* tests = doc->get("tests")) artifact.tests = tests->as_u64(0);
+  artifact.tests = doc->get_u64("tests", 0);
   for (const auto& [metric, cells] : metrics->members()) {
     if (!cells.is_object()) continue;
     auto& dims = artifact.metrics[metric];
     for (const auto& [dim, stats] : cells.members()) {
       if (!stats.is_object()) continue;
       AggregateStats s;
-      s.count = stats.get("count") != nullptr ? stats.get("count")->as_u64(0) : 0;
+      s.count = stats.get_u64("count", 0);
       s.sum = stats.get_number("sum", 0.0);
       s.mean = stats.get_number("mean", 0.0);
       s.min = stats.get_number("min", 0.0);
@@ -231,14 +228,7 @@ std::optional<HealthArtifact> parse_health_json(std::string_view text,
 
 std::optional<HealthArtifact> load_health_file(const std::string& path,
                                                std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_health_json(text.str(), error);
+  return parse_file(path, error, parse_health_json);
 }
 
 std::vector<std::pair<std::string, double>> summarize_for_manifest(

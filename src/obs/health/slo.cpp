@@ -1,9 +1,6 @@
 #include "obs/health/slo.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "obs/health/json.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::health {
 
@@ -53,8 +50,7 @@ std::optional<std::vector<SloSpec>> parse_slo_specs(std::string_view json_text,
         v != nullptr && v->type() == JsonValue::Type::kNumber) {
       spec.min_value = v->as_number();
     }
-    spec.min_samples =
-        static_cast<std::uint64_t>(entry.get_number("min_samples", 1.0));
+    spec.min_samples = entry.get_u64("min_samples", 1);
     if (spec.name.empty() || spec.metric.empty() ||
         (!spec.max_value && !spec.min_value)) {
       if (error != nullptr) {
@@ -70,14 +66,7 @@ std::optional<std::vector<SloSpec>> parse_slo_specs(std::string_view json_text,
 
 std::optional<std::vector<SloSpec>> load_slo_file(const std::string& path,
                                                   std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_slo_specs(text.str(), error);
+  return parse_file(path, error, parse_slo_specs);
 }
 
 namespace {

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::hostprof {
 namespace {
@@ -35,7 +31,7 @@ void append_us(std::string& out, std::uint64_t ns) {
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
 
 std::string thread_label(std::uint32_t tid) {
-  return tid == 0 ? "main" : "w" + std::to_string(tid);
+  return tid == 0 ? std::string("main") : std::string("w").append(std::to_string(tid));
 }
 
 }  // namespace
@@ -141,99 +137,79 @@ TimelineData& timeline_for(ProfData& data, std::uint32_t tid) {
   return data.timelines.back();
 }
 
-bool require(const health::JsonValue& obj, std::initializer_list<const char*> keys,
-             int lineno, std::string* error) {
-  for (const char* key : keys) {
-    if (obj.get(key) == nullptr) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": missing field \"" + key + "\"";
-      }
-      return false;
-    }
-  }
-  return true;
+constexpr JsonValue::Type kNumber = JsonValue::Type::kNumber;
+constexpr JsonValue::Type kString = JsonValue::Type::kString;
+
+std::uint32_t tid_of(const JsonValue& line) {
+  return static_cast<std::uint32_t>(line.get_u64("tid", 0));
 }
 
 }  // namespace
 
-std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
+std::optional<ProfData> read_prof_jsonl(std::string_view text, std::string* error) {
   ProfData data;
   bool saw_meta = false;
-  std::string text;
-  int lineno = 0;
-  while (std::getline(in, text)) {
-    ++lineno;
-    if (text.empty()) continue;
-    std::string parse_error;
-    const auto value = health::parse_json(text, &parse_error);
-    if (!value || !value->is_object()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " +
-                 (parse_error.empty() ? "not a JSON object" : parse_error);
-      }
-      return std::nullopt;
-    }
-    const std::string type = value->get_string("type", "");
+  const auto visit = [&](const JsonValue& line, std::string* why) {
+    const std::string type = line.get_string("type", "");
     if (type == "meta") {
-      if (!require(*value, {"chunks", "jobs", "timelines", "wall_ns"}, lineno,
-                   error)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"chunks", kNumber}, {"jobs", kNumber},
+                                 {"timelines", kNumber}, {"wall_ns", kNumber}}, why)) {
+        return false;
       }
-      data.chunks = static_cast<std::size_t>(value->get("chunks")->as_u64());
-      data.jobs = static_cast<std::size_t>(value->get("jobs")->as_u64());
-      data.wall_ns = value->get("wall_ns")->as_u64();
+      data.chunks = static_cast<std::size_t>(line.get_u64("chunks", 0));
+      data.jobs = static_cast<std::size_t>(line.get_u64("jobs", 0));
+      data.wall_ns = line.get_u64("wall_ns", 0);
       saw_meta = true;
     } else if (type == "timeline") {
-      if (!require(*value, {"tid", "dropped"}, lineno, error)) return std::nullopt;
-      timeline_for(data, static_cast<std::uint32_t>(value->get("tid")->as_u64()))
-          .dropped = value->get("dropped")->as_u64();
-    } else if (type == "worker") {
-      if (!require(*value,
-                   {"tid", "busy_ns", "idle_ns", "wall_ns", "pulls", "chunks"},
-                   lineno, error)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"tid", kNumber}, {"dropped", kNumber}}, why)) {
+        return false;
       }
-      TimelineData& tl =
-          timeline_for(data, static_cast<std::uint32_t>(value->get("tid")->as_u64()));
-      tl.worker.valid = true;
-      tl.worker.busy_ns = value->get("busy_ns")->as_u64();
-      tl.worker.idle_ns = value->get("idle_ns")->as_u64();
-      tl.worker.wall_ns = value->get("wall_ns")->as_u64();
-      tl.worker.pulls = value->get("pulls")->as_u64();
-      tl.worker.chunks = value->get("chunks")->as_u64();
+      timeline_for(data, tid_of(line)).dropped = line.get_u64("dropped", 0);
+    } else if (type == "worker") {
+      if (!require_fields(line, {{"tid", kNumber}, {"busy_ns", kNumber},
+                                 {"idle_ns", kNumber}, {"wall_ns", kNumber},
+                                 {"pulls", kNumber}, {"chunks", kNumber}}, why)) {
+        return false;
+      }
+      WorkerStats& worker = timeline_for(data, tid_of(line)).worker;
+      worker.valid = true;
+      worker.busy_ns = line.get_u64("busy_ns", 0);
+      worker.idle_ns = line.get_u64("idle_ns", 0);
+      worker.wall_ns = line.get_u64("wall_ns", 0);
+      worker.pulls = line.get_u64("pulls", 0);
+      worker.chunks = line.get_u64("chunks", 0);
     } else if (type == "phase") {
-      if (!require(*value, {"tid", "name", "count", "total_ns", "max_ns"}, lineno,
-                   error)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"tid", kNumber}, {"name", kString},
+                                 {"count", kNumber}, {"total_ns", kNumber},
+                                 {"max_ns", kNumber}}, why)) {
+        return false;
       }
       PhaseAgg agg;
-      agg.name = value->get("name")->as_string();
-      agg.count = value->get("count")->as_u64();
-      agg.total_ns = value->get("total_ns")->as_u64();
-      agg.max_ns = value->get("max_ns")->as_u64();
-      timeline_for(data, static_cast<std::uint32_t>(value->get("tid")->as_u64()))
-          .phases.push_back(std::move(agg));
+      agg.name = line.get_string("name", "");
+      agg.count = line.get_u64("count", 0);
+      agg.total_ns = line.get_u64("total_ns", 0);
+      agg.max_ns = line.get_u64("max_ns", 0);
+      timeline_for(data, tid_of(line)).phases.push_back(std::move(agg));
     } else if (type == "interval") {
-      if (!require(*value, {"tid", "depth", "phase", "t0_ns", "dur_ns", "arg"}, lineno,
-                   error)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"tid", kNumber}, {"depth", kNumber},
+                                 {"phase", kString}, {"t0_ns", kNumber},
+                                 {"dur_ns", kNumber}, {"arg", kNumber}}, why)) {
+        return false;
       }
       TimelineData::IntervalData iv;
-      iv.phase = value->get("phase")->as_string();
-      iv.t0_ns = value->get("t0_ns")->as_u64();
-      iv.dur_ns = value->get("dur_ns")->as_u64();
-      iv.depth = static_cast<std::uint32_t>(value->get("depth")->as_u64());
-      iv.arg = value->get("arg")->as_u64();
-      timeline_for(data, static_cast<std::uint32_t>(value->get("tid")->as_u64()))
-          .intervals.push_back(std::move(iv));
+      iv.phase = line.get_string("phase", "");
+      iv.t0_ns = line.get_u64("t0_ns", 0);
+      iv.dur_ns = line.get_u64("dur_ns", 0);
+      iv.depth = static_cast<std::uint32_t>(line.get_u64("depth", 0));
+      iv.arg = line.get_u64("arg", 0);
+      timeline_for(data, tid_of(line)).intervals.push_back(std::move(iv));
     } else {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": unknown record type \"" +
-                 type + "\"";
-      }
-      return std::nullopt;
+      *why = "unknown record type \"" + type + "\"";
+      return false;
     }
-  }
+    return true;
+  };
+  if (!for_each_jsonl_object(text, visit, error)) return std::nullopt;
   if (!saw_meta) {
     if (error != nullptr) *error = "no meta record found";
     return std::nullopt;
@@ -244,12 +220,7 @@ std::optional<ProfData> read_prof_jsonl(std::istream& in, std::string* error) {
 }
 
 std::optional<ProfData> load_prof_file(const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  return read_prof_jsonl(in, error);
+  return parse_file(path, error, read_prof_jsonl);
 }
 
 ProfReport analyze_prof(const ProfData& data) {

@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,12 +37,12 @@ void write_prof_jsonl(const ProfData& data, std::ostream& out);
 /// retained interval.
 void write_prof_chrome_trace(const ProfData& data, std::ostream& out);
 
-/// Parses a PROF JSONL stream back into ProfData. Returns nullopt (with a
+/// Parses a PROF JSONL document back into ProfData. Returns nullopt (with a
 /// line-numbered reason in `error`) on malformed input, an unknown record
 /// type, or a missing required field — the same checks the CI gate runs.
 /// Version 2 files load too: the `steals` key their worker lines carry is
 /// ignored.
-[[nodiscard]] std::optional<ProfData> read_prof_jsonl(std::istream& in,
+[[nodiscard]] std::optional<ProfData> read_prof_jsonl(std::string_view text,
                                                       std::string* error = nullptr);
 
 /// File convenience wrapper over read_prof_jsonl.

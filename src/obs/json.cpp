@@ -1,9 +1,93 @@
-#include "obs/health/json.hpp"
+#include "obs/json.hpp"
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
-namespace swiftest::obs::health {
+namespace swiftest::obs {
+namespace {
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+const char* type_name(JsonValue::Type type) {
+  switch (type) {
+    case JsonValue::Type::kNull:
+      return "null";
+    case JsonValue::Type::kBool:
+      return "bool";
+    case JsonValue::Type::kNumber:
+      return "number";
+    case JsonValue::Type::kString:
+      return "string";
+    case JsonValue::Type::kArray:
+      return "array";
+    case JsonValue::Type::kObject:
+      return "object";
+  }
+  return "value";
+}
+
+}  // namespace
+
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "\"NaN\"";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "\"Infinity\"" : "\"-Infinity\"";
+    return;
+  }
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+void append_u64(std::string& out, std::uint64_t v) { append_integer(out, v); }
+
+void append_i64(std::string& out, std::int64_t v) { append_integer(out, v); }
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+  out += '"';
+}
 
 const JsonValue* JsonValue::get(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
@@ -23,6 +107,11 @@ double JsonValue::get_number(std::string_view key, double fallback) const {
   return v != nullptr && v->type() == Type::kNumber ? v->number_ : fallback;
 }
 
+std::uint64_t JsonValue::get_u64(std::string_view key, std::uint64_t fallback) const {
+  const JsonValue* v = get(key);
+  return v != nullptr ? v->as_u64(fallback) : fallback;
+}
+
 std::uint64_t JsonValue::as_u64(std::uint64_t fallback) const {
   if (type_ != Type::kNumber) return fallback;
   std::uint64_t v = 0;
@@ -31,8 +120,10 @@ std::uint64_t JsonValue::as_u64(std::uint64_t fallback) const {
   const auto [ptr, ec] = std::from_chars(begin, end, v);
   if (ec == std::errc() && ptr == end) return v;
   // Not a plain non-negative integer token (sign, fraction, exponent):
-  // the double value is the best available reading.
-  return number_ >= 0.0 ? static_cast<std::uint64_t>(number_) : fallback;
+  // the double value is the best available reading when it fits.
+  constexpr double kTwoPow64 = 18446744073709551616.0;
+  return number_ >= 0.0 && number_ < kTwoPow64 ? static_cast<std::uint64_t>(number_)
+                                                : fallback;
 }
 
 class JsonParser {
@@ -288,18 +379,50 @@ class JsonParser {
     return fail("bad literal");
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  /// Consumes [0-9]+; false when no digit is at pos_.
+  bool skip_digits() {
+    if (!at_digit()) return false;
+    while (at_digit()) ++pos_;
+    return true;
+  }
+
+  /// JSON number grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// checked before conversion: from_chars alone accepts `inf`, `.5`, `01`.
   bool parse_number(JsonValue& out) {
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
+    const std::size_t start = pos_;
+    const auto bad = [this, start] {
+      pos_ = start;
+      return fail("bad number");
+    };
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (pos_ < text_.size() && text_[pos_] == '0') {
+      ++pos_;
+    } else if (!skip_digits()) {
+      return bad();
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!skip_digits()) return bad();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      if (!skip_digits()) return bad();
+    }
+    const char* begin = text_.data() + start;
+    const char* end = text_.data() + pos_;
     double v = 0.0;
     const auto [ptr, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc() || ptr == begin) return fail("bad number");
+    if (ec != std::errc() || ptr != end) return bad();
     out.type_ = JsonValue::Type::kNumber;
     out.number_ = v;
     // Keep the raw token so 64-bit integers (trace ids) survive exactly:
     // a double holds only 53 mantissa bits.
-    out.string_.assign(begin, static_cast<std::size_t>(ptr - begin));
-    pos_ += static_cast<std::size_t>(ptr - begin);
+    out.string_.assign(begin, end);
     return true;
   }
 
@@ -313,4 +436,55 @@ std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
   return JsonParser(text).parse(error);
 }
 
-}  // namespace swiftest::obs::health
+std::optional<std::string> read_file(const std::string& path, std::string* error) {
+  // A directory opens as an empty stream; report it as unreadable instead.
+  std::error_code ec;
+  std::ifstream file(path, std::ios::binary);
+  if (!file || std::filesystem::is_directory(path, ec)) {
+    if (error != nullptr) *error = "cannot read " + path;
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << file.rdbuf();
+  return std::move(text).str();
+}
+
+bool for_each_jsonl_object(std::string_view text, const JsonlVisitor& visit,
+                           std::string* error) {
+  std::size_t line_no = 0;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    ++line_no;
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+    if (line.empty()) continue;
+    std::string reason;
+    const std::optional<JsonValue> object = parse_json(line, &reason);
+    if (object && !object->is_object()) reason = "not a JSON object";
+    if (!object || !object->is_object() || !visit(*object, &reason)) {
+      if (error != nullptr) *error = "line " + std::to_string(line_no) + ": " + reason;
+      return false;
+    }
+  }
+  return true;
+}
+
+bool require_fields(const JsonValue& object, std::initializer_list<JsonField> fields,
+                    std::string* error) {
+  for (const JsonField& field : fields) {
+    const JsonValue* member = object.get(field.key);
+    if (member != nullptr && member->type() == field.type) continue;
+    if (error != nullptr) {
+      *error = member == nullptr ? "missing field \"" : "field \"";
+      error->append(field.key);
+      *error += '"';
+      if (member != nullptr) *error += std::string(" is not a ") + type_name(field.type);
+    }
+    return false;
+  }
+  return true;
+}
+
+}  // namespace swiftest::obs

@@ -1,13 +1,10 @@
 #include "obs/manifest/manifest.hpp"
 
 #include <algorithm>
-#include <array>
-#include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs::manifest {
 namespace {
@@ -25,33 +22,8 @@ void append_value_object(std::string& out, const ValueList& values) {
   out += '}';
 }
 
-bool require_string(const health::JsonValue& line, std::string_view key,
-                    std::string* out, std::string* error, std::size_t line_no) {
-  const health::JsonValue* member = line.get(key);
-  if (member == nullptr || member->type() != health::JsonValue::Type::kString) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": missing string field \"" +
-               std::string(key) + "\"";
-    }
-    return false;
-  }
-  *out = member->as_string();
-  return true;
-}
-
-bool require_number(const health::JsonValue& line, std::string_view key,
-                    double* out, std::string* error, std::size_t line_no) {
-  const health::JsonValue* member = line.get(key);
-  if (member == nullptr || member->type() != health::JsonValue::Type::kNumber) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": missing number field \"" +
-               std::string(key) + "\"";
-    }
-    return false;
-  }
-  *out = member->as_number();
-  return true;
-}
+constexpr JsonValue::Type kString = JsonValue::Type::kString;
+constexpr JsonValue::Type kNumber = JsonValue::Type::kNumber;
 
 }  // namespace
 
@@ -96,22 +68,15 @@ std::string content_hash(std::string_view bytes) {
 std::optional<ArtifactRecord> artifact_from_file(const std::string& name,
                                                  const std::string& path,
                                                  std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read artifact " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string content = buffer.str();
-
+  const std::optional<std::string> content = read_file(path, error);
+  if (!content) return std::nullopt;
   ArtifactRecord record;
   record.name = name;
   record.path = path;
-  record.bytes = content.size();
+  record.bytes = content->size();
   record.rows = static_cast<std::uint64_t>(
-      std::count(content.begin(), content.end(), '\n'));
-  record.hash = content_hash(content);
+      std::count(content->begin(), content->end(), '\n'));
+  record.hash = content_hash(*content);
   return record;
 }
 
@@ -201,113 +166,64 @@ std::optional<RunManifest> parse_manifest_jsonl(std::string_view text,
                                                 std::string* error) {
   RunManifest manifest;
   bool saw_header = false;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view raw = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (raw.empty()) continue;
-
-    std::string parse_error;
-    const std::optional<health::JsonValue> parsed =
-        health::parse_json(raw, &parse_error);
-    if (!parsed.has_value() || !parsed->is_object()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": " +
-                 (parsed.has_value() ? "not a JSON object" : parse_error);
-      }
-      return std::nullopt;
-    }
-    const health::JsonValue& line = *parsed;
+  const auto visit = [&](const JsonValue& line, std::string* why) {
     const std::string type = line.get_string("type", "");
-
     if (type == "manifest") {
+      if (!require_fields(line, {{"version", kNumber}, {"tool", kString},
+                                 {"command", kString}, {"build", kString}}, why)) {
+        return false;
+      }
       saw_header = true;
-      double version = 0.0;
-      if (!require_number(line, "version", &version, error, line_no) ||
-          !require_string(line, "tool", &manifest.tool, error, line_no) ||
-          !require_string(line, "command", &manifest.command, error, line_no) ||
-          !require_string(line, "build", &manifest.build, error, line_no)) {
-        return std::nullopt;
-      }
-      manifest.version = static_cast<int>(version);
+      manifest.version = static_cast<int>(std::min<std::uint64_t>(
+          line.get_u64("version", 0), std::numeric_limits<int>::max()));
+      manifest.tool = line.get_string("tool", "");
+      manifest.command = line.get_string("command", "");
+      manifest.build = line.get_string("build", "");
     } else if (type == "config") {
-      std::string key;
-      std::string value;
-      if (!require_string(line, "key", &key, error, line_no) ||
-          !require_string(line, "value", &value, error, line_no)) {
-        return std::nullopt;
-      }
-      manifest.config.emplace_back(std::move(key), std::move(value));
+      if (!require_fields(line, {{"key", kString}, {"value", kString}}, why)) return false;
+      manifest.config.emplace_back(line.get_string("key", ""), line.get_string("value", ""));
     } else if (type == "artifact") {
-      ArtifactRecord artifact;
-      double bytes = 0.0;
-      double rows = 0.0;
-      if (!require_string(line, "name", &artifact.name, error, line_no) ||
-          !require_string(line, "path", &artifact.path, error, line_no) ||
-          !require_number(line, "bytes", &bytes, error, line_no) ||
-          !require_number(line, "rows", &rows, error, line_no) ||
-          !require_string(line, "hash", &artifact.hash, error, line_no)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"name", kString}, {"path", kString}, {"bytes", kNumber},
+                                 {"rows", kNumber}, {"hash", kString}}, why)) {
+        return false;
       }
-      artifact.bytes = line.get("bytes")->as_u64();
-      artifact.rows = line.get("rows")->as_u64();
-      manifest.artifacts.push_back(std::move(artifact));
+      manifest.artifacts.push_back({line.get_string("name", ""),
+                                    line.get_string("path", ""),
+                                    line.get_u64("bytes", 0), line.get_u64("rows", 0),
+                                    line.get_string("hash", "")});
     } else if (type == "summary") {
-      std::string layer;
-      if (!require_string(line, "layer", &layer, error, line_no)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"layer", kString},
+                                 {"values", JsonValue::Type::kObject}}, why)) {
+        return false;
       }
-      const health::JsonValue* values = line.get("values");
-      if (values == nullptr || !values->is_object()) {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(line_no) +
-                   ": missing object field \"values\"";
-        }
-        return std::nullopt;
-      }
-      ValueList& list = manifest.summaries[layer];
-      for (const auto& [key, value] : values->members()) {
+      ValueList& list = manifest.summaries[line.get_string("layer", "")];
+      for (const auto& [key, value] : line.get("values")->members()) {
         list.emplace_back(key, value.as_number());
       }
     } else if (type == "bench") {
-      std::string name;
-      double value = 0.0;
-      if (!require_string(line, "name", &name, error, line_no) ||
-          !require_number(line, "value", &value, error, line_no)) {
-        return std::nullopt;
-      }
-      manifest.bench.emplace_back(std::move(name), value);
+      if (!require_fields(line, {{"name", kString}, {"value", kNumber}}, why)) return false;
+      manifest.bench.emplace_back(line.get_string("name", ""), line.get_number("value", 0.0));
     } else if (type == "slo") {
-      SloVerdict slo;
-      if (!require_string(line, "name", &slo.name, error, line_no) ||
-          !require_string(line, "dimension", &slo.dimension, error, line_no) ||
-          !require_string(line, "stat", &slo.stat, error, line_no) ||
-          !require_number(line, "observed", &slo.observed, error, line_no) ||
-          !require_string(line, "status", &slo.status, error, line_no)) {
-        return std::nullopt;
+      if (!require_fields(line, {{"name", kString}, {"dimension", kString},
+                                 {"stat", kString}, {"observed", kNumber},
+                                 {"status", kString}}, why)) {
+        return false;
       }
-      manifest.slos.push_back(std::move(slo));
+      manifest.slos.push_back({line.get_string("name", ""),
+                               line.get_string("dimension", ""),
+                               line.get_string("stat", ""),
+                               line.get_number("observed", 0.0),
+                               line.get_string("status", "")});
     } else if (type == "host") {
-      std::string key;
-      double value = 0.0;
-      if (!require_string(line, "key", &key, error, line_no) ||
-          !require_number(line, "value", &value, error, line_no)) {
-        return std::nullopt;
-      }
-      manifest.host.emplace_back(std::move(key), value);
+      if (!require_fields(line, {{"key", kString}, {"value", kNumber}}, why)) return false;
+      manifest.host.emplace_back(line.get_string("key", ""), line.get_number("value", 0.0));
     } else {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) +
-                 ": unknown manifest record type \"" + type + "\"";
-      }
-      return std::nullopt;
+      *why = "unknown manifest record type \"" + type + "\"";
+      return false;
     }
-  }
-
+    return true;
+  };
+  if (!for_each_jsonl_object(text, visit, error)) return std::nullopt;
   if (!saw_header) {
     if (error != nullptr) *error = "missing \"manifest\" header line";
     return std::nullopt;
@@ -317,14 +233,7 @@ std::optional<RunManifest> parse_manifest_jsonl(std::string_view text,
 
 std::optional<RunManifest> load_manifest_file(const std::string& path,
                                               std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot read manifest " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_manifest_jsonl(buffer.str(), error);
+  return parse_file(path, error, parse_manifest_jsonl);
 }
 
 }  // namespace swiftest::obs::manifest

@@ -106,7 +106,7 @@ struct RunManifest {
 [[nodiscard]] std::optional<ArtifactRecord> artifact_from_file(
     const std::string& name, const std::string& path, std::string* error = nullptr);
 
-/// Writes the manifest as JSONL (deterministic rendering, obs/json_util
+/// Writes the manifest as JSONL (deterministic rendering, obs/json
 /// numbers; lines in the fixed order manifest/config/artifact/summary/
 /// bench/slo/host).
 void write_manifest_jsonl(const RunManifest& manifest, std::ostream& out);

@@ -169,9 +169,8 @@ TEST(ProfJsonl, RoundTripsThroughWriterAndReader) {
   EXPECT_NE(out.str().find("\"version\":3"), std::string::npos);
   EXPECT_EQ(out.str().find("steals"), std::string::npos);
 
-  std::istringstream in(out.str());
   std::string error;
-  const auto loaded = read_prof_jsonl(in, &error);
+  const auto loaded = read_prof_jsonl(out.str(), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->chunks, data.chunks);
   EXPECT_EQ(loaded->jobs, data.jobs);
@@ -198,7 +197,7 @@ TEST(ProfJsonl, RoundTripsThroughWriterAndReader) {
 }
 
 TEST(ProfJsonl, ReaderLoadsVersionTwoAndIgnoresSteals) {
-  std::istringstream in(
+  const std::string text(
       "{\"type\":\"meta\",\"tool\":\"swiftest-hostprof\",\"version\":2,"
       "\"chunks\":2,\"jobs\":2,\"timelines\":2,\"wall_ns\":1000}\n"
       "{\"type\":\"timeline\",\"tid\":0,\"intervals\":0,\"dropped\":0}\n"
@@ -206,7 +205,7 @@ TEST(ProfJsonl, ReaderLoadsVersionTwoAndIgnoresSteals) {
       "{\"type\":\"worker\",\"tid\":1,\"busy_ns\":600,\"idle_ns\":400,"
       "\"wall_ns\":1000,\"pulls\":3,\"steals\":1,\"chunks\":2}\n");
   std::string error;
-  const auto loaded = read_prof_jsonl(in, &error);
+  const auto loaded = read_prof_jsonl(text, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ASSERT_EQ(loaded->timelines.size(), 2u);
   const TimelineData& w1 = loaded->timelines[1];
@@ -219,31 +218,31 @@ TEST(ProfJsonl, ReaderLoadsVersionTwoAndIgnoresSteals) {
 TEST(ProfJsonl, ReaderRejectsMalformedInput) {
   std::string error;
   {
-    std::istringstream in("{\"type\":\"interval\",\"tid\":0}\n");
-    EXPECT_FALSE(read_prof_jsonl(in, &error).has_value());
+    const std::string text("{\"type\":\"interval\",\"tid\":0}\n");
+    EXPECT_FALSE(read_prof_jsonl(text, &error).has_value());
     EXPECT_NE(error.find("line 1"), std::string::npos);
     EXPECT_NE(error.find("missing field"), std::string::npos);
   }
   {
-    std::istringstream in("{\"type\":\"mystery\"}\n");
-    EXPECT_FALSE(read_prof_jsonl(in, &error).has_value());
+    const std::string text("{\"type\":\"mystery\"}\n");
+    EXPECT_FALSE(read_prof_jsonl(text, &error).has_value());
     EXPECT_NE(error.find("unknown record type"), std::string::npos);
   }
   {
-    std::istringstream in("{\"type\":\"timeline\",\"tid\":0,\"dropped\":0}\n");
-    EXPECT_FALSE(read_prof_jsonl(in, &error).has_value());
+    const std::string text("{\"type\":\"timeline\",\"tid\":0,\"dropped\":0}\n");
+    EXPECT_FALSE(read_prof_jsonl(text, &error).has_value());
     EXPECT_NE(error.find("no meta record"), std::string::npos);
   }
   {
-    std::istringstream in("not json at all\n");
-    EXPECT_FALSE(read_prof_jsonl(in, &error).has_value());
+    const std::string text("not json at all\n");
+    EXPECT_FALSE(read_prof_jsonl(text, &error).has_value());
   }
   {
     // A version-1 meta line (task count under "shards"): no longer read.
-    std::istringstream in(
+    const std::string text(
         "{\"type\":\"meta\",\"version\":1,\"shards\":4,\"jobs\":2,"
         "\"timelines\":3,\"wall_ns\":1000}\n");
-    EXPECT_FALSE(read_prof_jsonl(in, &error).has_value());
+    EXPECT_FALSE(read_prof_jsonl(text, &error).has_value());
     EXPECT_NE(error.find("line 1: missing field \"chunks\""), std::string::npos)
         << error;
   }

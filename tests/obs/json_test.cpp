@@ -1,22 +1,20 @@
 // Edge-case coverage for the obs JSON reader/writer pair: the semantics the
-// artifact loaders rely on (documented in src/obs/health/json.hpp) and the
+// artifact loaders rely on (documented in src/obs/json.hpp) and the
 // writer/parser round-trip at the limits of double precision.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "obs/health/json.hpp"
-#include "obs/json_util.hpp"
+#include "obs/json.hpp"
 
 namespace swiftest::obs {
 namespace {
-
-using health::JsonValue;
-using health::kMaxJsonDepth;
-using health::parse_json;
 
 // --- duplicate object keys -------------------------------------------------
 
@@ -149,6 +147,27 @@ TEST(JsonUtil, U64FallbackForNonIntegerTokens) {
   EXPECT_EQ(parse_json("2.5")->as_u64(), 2u);       // fraction -> double read
   EXPECT_EQ(parse_json("1e3")->as_u64(), 1000u);    // exponent -> double read
   EXPECT_EQ(parse_json(R"("9")")->as_u64(4), 4u);   // wrong type -> fallback
+  // Not below 2^64: no u64 holds the value, so the fallback (casting the
+  // double would be undefined behaviour).
+  EXPECT_EQ(parse_json("1e30")->as_u64(6), 6u);
+  EXPECT_EQ(parse_json("18446744073709551616.0")->as_u64(6), 6u);
+}
+
+// --- number grammar --------------------------------------------------------
+
+TEST(JsonUtil, NonJsonNumberTokensRejected) {
+  // std::from_chars accepts all of these; the JSON number grammar does not.
+  for (const std::string token :
+       {"inf", "-inf", "infinity", ".5", "01", "1.", "-", "+1", "1e", "1e+", "-.5"}) {
+    std::string error;
+    EXPECT_FALSE(parse_json(token, &error).has_value()) << token;
+    EXPECT_FALSE(error.empty()) << token;
+    EXPECT_FALSE(parse_json("[" + token + "]").has_value()) << token;
+    EXPECT_FALSE(parse_json(R"({"v":)" + token + "}").has_value()) << token;
+  }
+  for (const std::string token : {"0", "-0", "10", "0.5", "-1.25e-3", "1E+2", "2e0"}) {
+    EXPECT_TRUE(parse_json("[" + token + "]").has_value()) << token;
+  }
 }
 
 // --- writer/reader round-trip misc -----------------------------------------
@@ -169,6 +188,60 @@ TEST(JsonUtil, EscapedStringRoundTrips) {
   const auto doc = parse_json(text);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->as_string(), raw);
+}
+
+// --- loader helpers --------------------------------------------------------
+
+TEST(JsonUtil, ReadFileReadsBytesAndRejectsMissingOrDirectory) {
+  const std::string path = ::testing::TempDir() + "/json_read_file.txt";
+  const std::string content("a\nb\0c", 5);
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << content;
+  }
+  EXPECT_EQ(read_file(path), content);
+  for (const std::string& bad : {::testing::TempDir() + "/json_no_such_file",
+                                 ::testing::TempDir()}) {
+    std::string error;
+    EXPECT_FALSE(read_file(bad, &error).has_value()) << bad;
+    EXPECT_EQ(error, "cannot read " + bad);
+  }
+}
+
+TEST(JsonUtil, JsonlWalkerNumbersLinesAndStopsAtFirstBadLine) {
+  std::vector<double> seen;
+  const auto visit = [&seen](const JsonValue& object, std::string* why) {
+    if (object.get("v") == nullptr) {
+      *why = "no v";
+      return false;
+    }
+    seen.push_back(object.get_number("v", 0.0));
+    return true;
+  };
+  std::string error;
+  EXPECT_TRUE(for_each_jsonl_object("{\"v\":1}\n\n{\"v\":2}", visit, &error));
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0}));
+  for (const auto& [text, want] :
+       {std::pair<std::string, std::string>{"{\"v\":1}\n\n[1]\n", "line 3: not a JSON object"},
+        {"{\"v\":1}\n{\"w\":1}\n", "line 2: no v"},
+        {"{\"v\":1}\n{\"v\":\n", "line 2: "}}) {
+    seen.clear();
+    EXPECT_FALSE(for_each_jsonl_object(text, visit, &error)) << text;
+    EXPECT_EQ(error.rfind(want, 0), 0u) << error;
+  }
+}
+
+TEST(JsonUtil, RequireFieldsNamesFirstMissingOrMistypedField) {
+  const auto doc = parse_json(R"({"n": 1, "s": "x"})");
+  ASSERT_TRUE(doc.has_value());
+  std::string error;
+  EXPECT_TRUE(require_fields(
+      *doc, {{"n", JsonValue::Type::kNumber}, {"s", JsonValue::Type::kString}}, &error));
+  EXPECT_FALSE(require_fields(
+      *doc, {{"n", JsonValue::Type::kNumber}, {"m", JsonValue::Type::kNumber}}, &error));
+  EXPECT_EQ(error, "missing field \"m\"");
+  EXPECT_FALSE(require_fields(*doc, {{"s", JsonValue::Type::kNumber}}, &error));
+  EXPECT_EQ(error, "field \"s\" is not a number");
 }
 
 TEST(JsonUtil, TrailingGarbageRejected) {

@@ -9,6 +9,8 @@
 #include <string>
 
 #include "obs/diff/diff.hpp"
+#include "obs/export.hpp"
+#include "obs/hostprof/report.hpp"
 #include "obs/manifest/manifest.hpp"
 #include "obs/spill.hpp"
 
@@ -134,6 +136,17 @@ TEST(Manifest, ParseRejectsMalformedInput) {
                    "\n",
                    &error)
                    .has_value());
+  EXPECT_NE(error.find("line 1: missing field \"command\""), std::string::npos)
+      << error;
+  // Required field of the wrong type.
+  EXPECT_FALSE(manifest::parse_manifest_jsonl(
+                   R"({"type":"manifest","version":"1","tool":"t","command":"c",)"
+                   R"("build":"b"})" "\n",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("line 1: field \"version\" is not a number"),
+            std::string::npos)
+      << error;
 }
 
 // --- diff verdicts ---------------------------------------------------------
@@ -252,6 +265,144 @@ TEST(ManifestDiff, RendersJsonAndMarkdown) {
   std::ostringstream md;
   diff::write_diff_markdown(report, md);
   EXPECT_NE(md.str().find("util_median_pct"), std::string::npos);
+}
+
+// --- deep sections over real artifacts -------------------------------------
+
+/// A manifest whose artifacts are `(name, path)` pairs.
+manifest::RunManifest manifest_with_artifacts(
+    const std::vector<std::pair<std::string, std::string>>& artifacts) {
+  manifest::RunManifest m;
+  m.command = "fleet";
+  m.build = "deadbeef";
+  for (const auto& [name, path] : artifacts) {
+    m.artifacts.push_back({name, path, 0, 0, manifest::content_hash(path)});
+  }
+  return m;
+}
+
+/// Writes `render(out)` to a fresh temp file and returns its path.
+template <typename Render>
+std::string temp_artifact(const std::string& file_name, Render render) {
+  const std::string path = ::testing::TempDir() + "/" + file_name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  render(out);
+  return path;
+}
+
+const diff::DiffEntry* find_entry(const diff::DiffReport& report,
+                                  const std::string& section, const std::string& key) {
+  for (const diff::DiffEntry& entry : report.entries) {
+    if (entry.section == section && entry.key == key) return &entry;
+  }
+  return nullptr;
+}
+
+/// A one-worker profile: `pool_ms` of the `wall_ms` run is the parallel
+/// region, of which the worker is busy `busy_ms`.
+hostprof::ProfData one_worker_profile(std::uint64_t wall_ms, std::uint64_t pool_ms,
+                                      std::uint64_t busy_ms) {
+  constexpr std::uint64_t kMs = 1'000'000;
+  hostprof::ProfData data;
+  data.chunks = 1;
+  data.jobs = 1;
+  data.wall_ns = wall_ms * kMs;
+  hostprof::TimelineData main_tl;
+  main_tl.phases.push_back({hostprof::kPhasePool, 1, pool_ms * kMs, pool_ms * kMs});
+  data.timelines.push_back(main_tl);
+  hostprof::TimelineData worker;
+  worker.tid = 1;
+  worker.worker = {true, busy_ms * kMs, (pool_ms - busy_ms) * kMs, pool_ms * kMs, 2, 0, 1};
+  worker.phases.push_back({hostprof::kPhaseChunk, 1, busy_ms * kMs, busy_ms * kMs});
+  data.timelines.push_back(worker);
+  return data;
+}
+
+TEST(ManifestDiff, HostprofSectionComparesProfileArtifacts) {
+  const hostprof::ProfData prof_a = one_worker_profile(100, 60, 60);
+  const hostprof::ProfData prof_b = one_worker_profile(200, 160, 150);
+  const auto a = manifest_with_artifacts(
+      {{"prof", temp_artifact("diff_prof_a.jsonl", [&](std::ostream& out) {
+          hostprof::write_prof_jsonl(prof_a, out);
+        })}});
+  const auto b = manifest_with_artifacts(
+      {{"prof", temp_artifact("diff_prof_b.jsonl", [&](std::ostream& out) {
+          hostprof::write_prof_jsonl(prof_b, out);
+        })}});
+
+  const diff::DiffReport report = diff::diff_runs(a, b, diff::DiffOptions{});
+  const diff::SectionCounts& hostprof = report.sections.at("hostprof");
+  EXPECT_EQ(hostprof.checked, 4u);
+  EXPECT_EQ(hostprof.regressed, 0u);  // host time never gates
+  const diff::DiffEntry* wall = find_entry(report, "hostprof", "wall_ms");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_DOUBLE_EQ(wall->a, 100.0);
+  EXPECT_DOUBLE_EQ(wall->b, 200.0);
+  EXPECT_EQ(wall->status, diff::DiffStatus::kInfo);
+  const diff::DiffEntry* serial = find_entry(report, "hostprof", "serial_fraction");
+  ASSERT_NE(serial, nullptr);
+  EXPECT_DOUBLE_EQ(serial->a, 40.0 / 100.0);  // serial 40 ms, busy 60 ms
+  EXPECT_DOUBLE_EQ(serial->b, 40.0 / 190.0);  // serial 40 ms, busy 150 ms
+  EXPECT_EQ(report.regressions, 0u);
+}
+
+TEST(ManifestDiff, MetricsFallbackLoadsMetricsArtifacts) {
+  MetricsSnapshot snapshot_a;
+  snapshot_a.counters = {{"tests", 10}};
+  snapshot_a.gauges = {{"util", 0.5}};
+  MetricsSnapshot snapshot_b = snapshot_a;
+  snapshot_b.counters["tests"] = 12;
+  const auto a = manifest_with_artifacts(
+      {{"metrics", temp_artifact("diff_metrics_a.json", [&](std::ostream& out) {
+          write_metrics_json(snapshot_a, out);
+        })}});
+  const auto b = manifest_with_artifacts(
+      {{"metrics", temp_artifact("diff_metrics_b.json", [&](std::ostream& out) {
+          write_metrics_json(snapshot_b, out);
+        })}});
+  ASSERT_EQ(a.find_summary("metrics"), nullptr);
+
+  const diff::DiffReport report = diff::diff_runs(a, b, diff::DiffOptions{});
+  const diff::SectionCounts& metrics = report.sections.at("summary.metrics");
+  EXPECT_EQ(metrics.checked, 2u);  // counter.tests, gauge.util
+  EXPECT_EQ(metrics.identical, 1u);
+  const diff::DiffEntry* tests = find_entry(report, "summary.metrics", "counter.tests");
+  ASSERT_NE(tests, nullptr);
+  EXPECT_DOUBLE_EQ(tests->a, 10.0);
+  EXPECT_DOUBLE_EQ(tests->b, 12.0);
+  EXPECT_EQ(tests->status, diff::DiffStatus::kRegressed);  // counters are exact
+  EXPECT_EQ(report.regressions, 1u);
+
+  // A manifest summary wins over the artifact: no fallback section then.
+  manifest::RunManifest with_summary = a;
+  with_summary.summaries["metrics"] = {{"counter.tests", 10.0}};
+  const diff::DiffReport summarized =
+      diff::diff_runs(with_summary, b, diff::DiffOptions{});
+  const diff::DiffEntry* only_a = find_entry(summarized, "summary.metrics", "counter.tests");
+  ASSERT_NE(only_a, nullptr);
+  EXPECT_EQ(only_a->note, "only in A");
+}
+
+TEST(ManifestDiff, UnreadableArtifactsLeaveSectionNotes) {
+  const std::string missing = ::testing::TempDir() + "/diff_missing_artifact";
+  const auto m = manifest_with_artifacts({{"metrics", missing},
+                                          {"health", missing},
+                                          {"trace_jsonl", missing},
+                                          {"spans", missing},
+                                          {"prof", missing}});
+  const diff::DiffReport report = diff::diff_runs(m, m, diff::DiffOptions{});
+  for (const char* section : {"summary.metrics", "health", "trace", "stage", "hostprof"}) {
+    const diff::DiffEntry* note = find_entry(report, section, "artifacts");
+    ASSERT_NE(note, nullptr) << section;
+    EXPECT_EQ(note->status, diff::DiffStatus::kInfo) << section;
+    EXPECT_FALSE(note->note.empty()) << section;
+  }
+  EXPECT_FALSE(report.has_stage_attribution);
+  EXPECT_TRUE(report.identical);
+
+  // With deep diffs off nothing is loaded, so nothing is noted either.
+  const diff::DiffReport shallow = diff::diff_runs(m, m, no_artifact_options());
+  EXPECT_EQ(find_entry(shallow, "health", "artifacts"), nullptr);
 }
 
 // --- spill manifest summary ------------------------------------------------

@@ -243,30 +243,26 @@ void manifest_add_artifact(obs::manifest::RunManifest* manifest,
   manifest->artifacts.push_back(std::move(*record));
 }
 
+/// Opens `path` for writing (truncating), or prints "cannot write <path>"
+/// to `out` and returns nullopt.
+std::optional<std::ofstream> open_output(const std::string& path, std::ostream& out) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file) {
+    out << "cannot write " << path << "\n";
+    return std::nullopt;
+  }
+  return file;
+}
+
 /// Writes the manifest file; returns 0 or 1 (unwritable path).
 int write_manifest_file(const std::string& path,
                         const obs::manifest::RunManifest& manifest,
                         std::ostream& out) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    out << "cannot write " << path << "\n";
-    return 1;
-  }
-  obs::manifest::write_manifest_jsonl(manifest, file);
+  auto file = open_output(path, out);
+  if (!file) return 1;
+  obs::manifest::write_manifest_jsonl(manifest, *file);
   out << "manifest: " << path << "\n";
   return 0;
-}
-
-const char* slo_status_name(obs::health::SloStatus status) {
-  switch (status) {
-    case obs::health::SloStatus::kPass:
-      return "pass";
-    case obs::health::SloStatus::kSkipped:
-      return "skipped";
-    case obs::health::SloStatus::kViolated:
-      return "violated";
-  }
-  return "unknown";
 }
 
 /// True when the run opted into any of the bounded-observability machinery.
@@ -299,16 +295,11 @@ int flush_obs(const Options& options, std::ostream& out, obs::Hub* hub,
       hub->metrics.counter("obs.span_dropped").inc(hub->spans.dropped());
     }
   }
-  auto open = [&out](const std::string& path, std::ofstream& file) {
-    file.open(path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << path << "\n";
-    return static_cast<bool>(file);
-  };
   if (options.has("trace-out")) {
-    std::ofstream file;
-    if (!open(options.get("trace-out", ""), file)) return 1;
-    obs::write_chrome_trace(hub->tracer, file);
-    file.close();
+    auto file = open_output(options.get("trace-out", ""), out);
+    if (!file) return 1;
+    obs::write_chrome_trace(hub->tracer, *file);
+    file->close();
     manifest_add_artifact(manifest, "trace_chrome", options.get("trace-out", ""));
     out << "trace: " << options.get("trace-out", "") << " ("
         << hub->tracer.events().size() << " events";
@@ -316,25 +307,25 @@ int flush_obs(const Options& options, std::ostream& out, obs::Hub* hub,
     out << ")\n";
   }
   if (options.has("trace-jsonl")) {
-    std::ofstream file;
-    if (!open(options.get("trace-jsonl", ""), file)) return 1;
-    obs::write_trace_jsonl(hub->tracer, file);
-    file.close();
+    auto file = open_output(options.get("trace-jsonl", ""), out);
+    if (!file) return 1;
+    obs::write_trace_jsonl(hub->tracer, *file);
+    file->close();
     manifest_add_artifact(manifest, "trace_jsonl", options.get("trace-jsonl", ""));
   }
   if (options.has("metrics-out")) {
-    std::ofstream file;
-    if (!open(options.get("metrics-out", ""), file)) return 1;
-    obs::write_metrics_json(hub->metrics.snapshot(), file);
-    file.close();
+    auto file = open_output(options.get("metrics-out", ""), out);
+    if (!file) return 1;
+    obs::write_metrics_json(hub->metrics.snapshot(), *file);
+    file->close();
     manifest_add_artifact(manifest, "metrics", options.get("metrics-out", ""));
     out << "metrics: " << options.get("metrics-out", "") << "\n";
   }
   if (options.has("spans-out")) {
-    std::ofstream file;
-    if (!open(options.get("spans-out", ""), file)) return 1;
-    obs::span::write_spans_json(hub->spans, file);
-    file.close();
+    auto file = open_output(options.get("spans-out", ""), out);
+    if (!file) return 1;
+    obs::span::write_spans_json(hub->spans, *file);
+    file->close();
     manifest_add_artifact(manifest, "spans", options.get("spans-out", ""));
     out << "spans: " << options.get("spans-out", "") << " (" << hub->spans.size()
         << " spans";
@@ -342,11 +333,11 @@ int flush_obs(const Options& options, std::ostream& out, obs::Hub* hub,
     out << ")\n";
   }
   if (options.has("attribution-md")) {
-    std::ofstream file;
-    if (!open(options.get("attribution-md", ""), file)) return 1;
+    auto file = open_output(options.get("attribution-md", ""), out);
+    if (!file) return 1;
     const auto report = obs::span::analyze_spans(obs::span::to_span_data(hub->spans));
-    obs::span::write_attribution_markdown(report, file);
-    file.close();
+    obs::span::write_attribution_markdown(report, *file);
+    file->close();
     manifest_add_artifact(manifest, "attribution_md",
                           options.get("attribution-md", ""));
     out << "attribution: " << options.get("attribution-md", "") << " ("
@@ -393,24 +384,19 @@ int flush_health(const Options& options, std::ostream& out,
   const obs::health::SloEvaluation* eval_ptr =
       evaluation ? &*evaluation : nullptr;
 
-  auto open = [&out](const std::string& path, std::ofstream& file) {
-    file.open(path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << path << "\n";
-    return static_cast<bool>(file);
-  };
   if (options.has("health-out")) {
-    std::ofstream file;
-    if (!open(options.get("health-out", ""), file)) return 1;
-    obs::health::write_health_json(snapshot, meta, eval_ptr, file);
-    file.close();
+    auto file = open_output(options.get("health-out", ""), out);
+    if (!file) return 1;
+    obs::health::write_health_json(snapshot, meta, eval_ptr, *file);
+    file->close();
     manifest_add_artifact(manifest, "health", options.get("health-out", ""));
     out << "health: " << options.get("health-out", "") << "\n";
   }
   if (options.has("report-md")) {
-    std::ofstream file;
-    if (!open(options.get("report-md", ""), file)) return 1;
-    obs::health::write_health_markdown(snapshot, meta, eval_ptr, file);
-    file.close();
+    auto file = open_output(options.get("report-md", ""), out);
+    if (!file) return 1;
+    obs::health::write_health_markdown(snapshot, meta, eval_ptr, *file);
+    file->close();
     manifest_add_artifact(manifest, "report_md", options.get("report-md", ""));
     out << "report: " << options.get("report-md", "") << "\n";
   }
@@ -421,7 +407,7 @@ int flush_health(const Options& options, std::ostream& out,
       verdict.dimension = r.dimension;
       verdict.stat = r.spec.stat;
       verdict.observed = r.observed;
-      verdict.status = slo_status_name(r.status);
+      verdict.status = obs::health::to_string(r.status);
       manifest->slos.push_back(std::move(verdict));
     }
   }
@@ -469,21 +455,16 @@ int cmd_trace(std::span<const std::string> args, std::ostream& out) {
   }
   const obs::span::AttributionReport report = obs::span::analyze_spans(*spans);
 
-  auto open = [&out](const std::string& file_path, std::ofstream& file) {
-    file.open(file_path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << file_path << "\n";
-    return static_cast<bool>(file);
-  };
   if (options->has("json")) {
-    std::ofstream file;
-    if (!open(options->get("json", ""), file)) return 1;
-    obs::span::write_attribution_json(report, file);
+    auto file = open_output(options->get("json", ""), out);
+    if (!file) return 1;
+    obs::span::write_attribution_json(report, *file);
     out << "attribution json: " << options->get("json", "") << "\n";
   }
   if (options->has("md")) {
-    std::ofstream file;
-    if (!open(options->get("md", ""), file)) return 1;
-    obs::span::write_attribution_markdown(report, file);
+    auto file = open_output(options->get("md", ""), out);
+    if (!file) return 1;
+    obs::span::write_attribution_markdown(report, *file);
     out << "attribution md: " << options->get("md", "") << "\n";
   }
   if (!options->has("json") && !options->has("md")) {
@@ -969,25 +950,20 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     hostprof->finish();
     const obs::hostprof::ProfData data = hostprof->snapshot();
     wall_ns = data.wall_ns;
-    auto open = [&out](const std::string& path, std::ofstream& file) {
-      file.open(path, std::ios::binary | std::ios::trunc);
-      if (!file) out << "cannot write " << path << "\n";
-      return static_cast<bool>(file);
-    };
     if (options.has("prof-out")) {
-      std::ofstream file;
-      if (!open(options.get("prof-out", ""), file)) return 1;
-      obs::hostprof::write_prof_jsonl(data, file);
-      file.close();
+      auto file = open_output(options.get("prof-out", ""), out);
+      if (!file) return 1;
+      obs::hostprof::write_prof_jsonl(data, *file);
+      file->close();
       manifest_add_artifact(mf, "prof", options.get("prof-out", ""));
       out << "profile: " << options.get("prof-out", "") << " ("
           << data.timelines.size() << " timelines)\n";
     }
     if (options.has("prof-trace")) {
-      std::ofstream file;
-      if (!open(options.get("prof-trace", ""), file)) return 1;
-      obs::hostprof::write_prof_chrome_trace(data, file);
-      file.close();
+      auto file = open_output(options.get("prof-trace", ""), out);
+      if (!file) return 1;
+      obs::hostprof::write_prof_chrome_trace(data, *file);
+      file->close();
       manifest_add_artifact(mf, "prof_trace", options.get("prof-trace", ""));
       out << "profile trace: " << options.get("prof-trace", "") << "\n";
     }
@@ -1037,12 +1013,9 @@ int cmd_profile(std::span<const std::string> args, std::ostream& out) {
   }
   const obs::hostprof::ProfReport report = obs::hostprof::analyze_prof(*data);
   if (options->has("md")) {
-    std::ofstream file(options->get("md", ""), std::ios::binary | std::ios::trunc);
-    if (!file) {
-      out << "cannot write " << options->get("md", "") << "\n";
-      return 1;
-    }
-    obs::hostprof::write_prof_report_markdown(report, file);
+    auto file = open_output(options->get("md", ""), out);
+    if (!file) return 1;
+    obs::hostprof::write_prof_report_markdown(report, *file);
     out << "profile report: " << options->get("md", "") << "\n";
   } else {
     obs::hostprof::write_prof_report_markdown(report, out);
@@ -1087,21 +1060,16 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
   const obs::diff::DiffReport report =
       obs::diff::diff_runs(*manifest_a, *manifest_b, diff_options, path_a, path_b);
 
-  auto open = [&out](const std::string& file_path, std::ofstream& file) {
-    file.open(file_path, std::ios::binary | std::ios::trunc);
-    if (!file) out << "cannot write " << file_path << "\n";
-    return static_cast<bool>(file);
-  };
   if (options->has("json")) {
-    std::ofstream file;
-    if (!open(options->get("json", ""), file)) return 1;
-    obs::diff::write_diff_json(report, file);
+    auto file = open_output(options->get("json", ""), out);
+    if (!file) return 1;
+    obs::diff::write_diff_json(report, *file);
     out << "diff json: " << options->get("json", "") << "\n";
   }
   if (options->has("md")) {
-    std::ofstream file;
-    if (!open(options->get("md", ""), file)) return 1;
-    obs::diff::write_diff_markdown(report, file);
+    auto file = open_output(options->get("md", ""), out);
+    if (!file) return 1;
+    obs::diff::write_diff_markdown(report, *file);
     out << "diff md: " << options->get("md", "") << "\n";
   }
   if (!options->has("json") && !options->has("md")) {
