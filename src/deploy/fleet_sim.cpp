@@ -533,6 +533,10 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   if (out.hub != nullptr) {
     test_hub = obs::Hub::mirror_of(*out.hub);
     if (sampled_mode) test_hub->spans.set_sampled_mode(true);
+    // An unsampled test records no trace events at all: with the mask
+    // cleared every instrumentation site sees a null tracer, and the ring is
+    // never allocated. Its metrics still count.
+    if (!sampled_test) test_hub->tracer.set_category_mask(0);
     // Span ids are store-local and partition-dependent; the begin/end tracer
     // mirror would leak them into the merged trace, so spans mirror into
     // metrics only.
@@ -605,7 +609,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
       hub->metrics.counter("fleet.tests_started").inc();
       if (count_sampled) hub->metrics.counter("fleet.tests_sampled").inc();
     }
-    if (sampled_test) trace_fleet("fleet.test_start", a.test_id, a.rate_mbps);
+    trace_fleet("fleet.test_start", a.test_id, a.rate_mbps);
     ctx.access_link().set_rate(core::Bandwidth::mbps(a.truth_mbps));
 
     swift::SwiftestConfig wc_cfg;
@@ -623,7 +627,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
     sctx.push(test_span);
     wire->start(ctx, [&](const bts::BtsResult& r) {
       done = true;
-      if (sampled_test) trace_fleet("fleet.test_done", a.test_id, r.bandwidth_mbps);
+      trace_fleet("fleet.test_done", a.test_id, r.bandwidth_mbps);
       if (auto* hub = sched.obs()) {
         hub->spans.attr_f64(test_span, "estimate_mbps", r.bandwidth_mbps);
         hub->spans.end(test_span, sched.now());

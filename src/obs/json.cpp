@@ -1,6 +1,5 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -145,9 +144,11 @@ class JsonParser {
   }
 
  private:
+  // JSON whitespace is exactly space, tab, LF and CR (std::isspace would
+  // also take \v and \f).
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
   }

@@ -206,5 +206,27 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   EXPECT_EQ(serial.health, threaded.health);
 }
 
+TEST(FleetSampling, PacketUnsampledTestsRecordNoTraceEvents) {
+  // A denominator this large keeps none of ~150 draws: every test is
+  // unsampled, so no per-test event (netsim, protocol or fleet instant) may
+  // reach the trace. Only the merge-time egress series remains.
+  const ObsArtifacts run = run_fleet(FleetBackend::kPacket, 32, 1, 1ull << 40);
+  ASSERT_GT(run.tests, 50u);
+  EXPECT_EQ(run.sampled, 0u);
+  std::istringstream lines(run.trace);
+  std::size_t egress = 0;
+  std::size_t other = 0;
+  std::string first_other;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"fleet.egress_util\"") != std::string::npos) {
+      ++egress;
+    } else if (other++ == 0) {
+      first_other = line;
+    }
+  }
+  EXPECT_GT(egress, 0u);
+  EXPECT_EQ(other, 0u) << "first: " << first_other;
+}
+
 }  // namespace
 }  // namespace swiftest::deploy

@@ -170,6 +170,16 @@ TEST(JsonUtil, NonJsonNumberTokensRejected) {
   }
 }
 
+TEST(JsonUtil, OnlyJsonWhitespaceSkipped) {
+  // JSON whitespace is space, tab, LF and CR; std::isspace also takes \v, \f.
+  for (const std::string text : {"\v1", "[1,\f2]", "1\v", "{\f}"}) {
+    std::string error;
+    EXPECT_FALSE(parse_json(text, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+  EXPECT_TRUE(parse_json(" \t\r\n[ 1 ,\t2 ]\r\n").has_value());
+}
+
 // --- writer/reader round-trip misc -----------------------------------------
 
 TEST(JsonUtil, NonFiniteDoublesRenderAsQuotedStrings) {
