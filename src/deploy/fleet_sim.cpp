@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -233,41 +234,134 @@ obs::SampleSchedule::CostModel sample_cost_model(const FleetSimConfig& config) {
   return model;
 }
 
-/// A fresh hub shaped like the parent but with a bounded trace ring, so a
-/// run of many small chunks cannot multiply the parent's ring size by the
-/// chunk count. Analytic chunks emit at most two events per test, so
-/// 4 * chunk_size + slack never wraps (no drop-order dependence).
-std::unique_ptr<obs::Hub> make_chunk_hub(const obs::Hub& like,
-                                         std::size_t trace_capacity) {
-  auto hub = std::make_unique<obs::Hub>(
-      std::min(like.tracer.capacity(), trace_capacity), like.spans.capacity());
-  hub->tracer.set_category_mask(like.tracer.category_mask());
-  return hub;
+/// One chunk's output, both backends: the tests, health samples and
+/// observability of its consecutive slice of draws. Nothing numeric that could
+/// depend on where chunk boundaries fall lives here: packet window deltas
+/// and server counters are integers that sum exactly in any order, and the
+/// analytic load accounting runs once, over the whole workload, at merge.
+struct Chunk {
+  std::uint64_t tests_simulated = 0;
+  obs::health::SampleLog health;
+  bool want_health = false;
+  /// The chunk's hub (make_chunk_hub); null when the run records no
+  /// observability. Tests record straight into it.
+  std::unique_ptr<obs::Hub> hub;
+  ChunkSpill spill;
+  obs::ShardTelemetry telemetry;
+  /// Metrics snapshots in draw order, left-folded at merge. Gauge adds and
+  /// histogram `sum` accumulation are floating-point, so a packet chunk
+  /// banks one take() per test: folding per-chunk partials would make the
+  /// result depend on where the chunk boundaries fall, while per-test
+  /// snapshots folded in global draw order associate identically for every
+  /// chunk size and job count. An analytic chunk banks one snapshot.
+  std::vector<obs::MetricsSnapshot> metric_snaps;
+
+  // Packet backend only: per-(window, server) delivered-byte deltas on the
+  // global window grid and per-server protocol counters.
+  struct WindowDelta {
+    std::uint32_t window = 0;
+    std::uint32_t server = 0;
+    std::int64_t bytes = 0;
+  };
+  std::vector<WindowDelta> deltas;
+  std::vector<std::uint64_t> server_accepted;    // [server_count]
+  std::vector<std::int64_t> server_probe_bytes;  // [server_count]
+};
+
+/// Gives chunk `c` its hub, shaped by the caller's capacities, with the
+/// run's category mask and spill sinks. Span begin/end mirror into metrics
+/// only: span ids are store-local and partition-dependent, and the tracer
+/// mirror would leak them into the merged trace. Sampled mode refuses the
+/// server sessions of unsampled packet tests (DESIGN.md §12).
+void make_chunk_hub(Chunk& out, std::size_t c, const FleetSimConfig& config,
+                    std::size_t trace_capacity, std::size_t span_capacity,
+                    bool sampled_mode) {
+  out.hub = std::make_unique<obs::Hub>(trace_capacity, span_capacity);
+  out.hub->tracer.set_category_mask(config.obs->tracer.category_mask());
+  out.hub->spans.set_sinks(nullptr, &out.hub->metrics);
+  out.hub->spans.set_sampled_mode(sampled_mode);
+  out.spill.attach(*out.hub, config.obs_spill_dir, c);
+}
+
+/// Folds every chunk's observability into config.obs in chunk order —
+/// trace, metrics (draw-order left fold), spans — then runs `fleet_series`
+/// (merge-time series computed from the merged result) and canonicalizes.
+/// Chunk concatenation order depends on the partition; the canonical
+/// content order does not, so afterwards the artifact renders
+/// byte-identically for every chunk size (DESIGN.md §12, §15). Finally
+/// concatenates and accounts the spill segments.
+void merge_chunk_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
+                     const std::function<void()>& fleet_series,
+                     FleetSimResult& result) {
+  obs::hostprof::Timeline* host_tl =
+      config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
+  // The merge target can itself rotate: its segments take the index one
+  // past the last chunk, so concat order stays (chunk, segment).
+  ChunkSpill merge_spill;
+  if (!config.obs_spill_dir.empty()) {
+    merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
+  }
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
+    for (const Chunk& chunk : chunks) {
+      if (chunk.hub != nullptr) config.obs->tracer.merge_from(chunk.hub->tracer);
+    }
+  }
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
+    for (const Chunk& chunk : chunks) {
+      for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) {
+        config.obs->metrics.merge_from(snap);
+      }
+    }
+  }
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.spans");
+    for (const Chunk& chunk : chunks) {
+      if (chunk.hub != nullptr) config.obs->spans.merge_from(chunk.hub->spans);
+    }
+  }
+  if (fleet_series) {
+    const obs::hostprof::HostScope scope(host_tl, "merge.windows");
+    fleet_series();
+  }
+  {
+    const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
+    config.obs->tracer.sort_canonical();
+    config.obs->spans.sort_canonical();
+  }
+  const obs::hostprof::HostScope scope(host_tl, "spill.io");
+  std::vector<ChunkSpill> spills;
+  for (Chunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
+  spills.push_back(std::move(merge_spill));
+  concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
+  concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
+  accumulate_spill(spills, result);
+}
+
+/// Replays every chunk's buffered health into config.health: arrivals k-way
+/// merge by sim time, then samples replay chunk by chunk. Chunks hold
+/// consecutive draws, so chunk order IS the global draw order — bit-identical
+/// health to a single serial pass.
+void replay_health(const std::vector<Chunk>& chunks, const FleetSimConfig& config) {
+  if (config.health == nullptr) return;
+  const obs::hostprof::HostScope scope(
+      config.hostprof != nullptr ? &config.hostprof->main() : nullptr,
+      "samplelog.replay");
+  std::vector<const obs::health::SampleLog*> logs;
+  logs.reserve(chunks.size());
+  for (const Chunk& chunk : chunks) logs.push_back(&chunk.health);
+  obs::health::SampleLog::merge_arrivals(logs, *config.health);
+  for (const Chunk& chunk : chunks) chunk.health.replay_samples(*config.health);
 }
 
 // ---------------------------------------------------------------------------
 // Analytic backend
 // ---------------------------------------------------------------------------
 
-/// One analytic chunk's output: health samples and sampled observability for
-/// its consecutive slice of draws. The numeric load accounting is NOT here —
-/// floating-point sums are not associative, so per-chunk partials would tie
-/// the result bits to the partition; compute_analytic_load runs once, over
-/// the whole workload, at merge.
-struct AnalyticChunk {
-  std::uint64_t tests_simulated = 0;
-  obs::health::SampleLog health;
-  bool want_health = false;
-  /// Sampled observability emission (fleet.test events + spans); null unless
-  /// sampling or a budget is active — legacy analytic runs emit nothing.
-  std::unique_ptr<obs::Hub> hub;
-  ChunkSpill spill;
-  obs::ShardTelemetry telemetry;
-};
-
 void run_analytic_chunk(std::span<const Arrival> arrivals,
                         const FleetSimConfig& config,
-                        const obs::SampleSchedule* schedule, AnalyticChunk& out) {
+                        const obs::SampleSchedule* schedule, Chunk& out) {
   for (const Arrival& a : arrivals) {
     ++out.tests_simulated;
     if (config.resource != nullptr) config.resource->add_tests(1);
@@ -307,6 +401,7 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
       out.health.record_test(sample);
     }
   }
+  if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.snapshot());
 }
 
 /// The closed-form load accounting, over the full workload in draw order.
@@ -375,11 +470,8 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
   return out;
 }
 
-FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
-                              const AnalyticLoad& load,
+FleetSimResult merge_analytic(std::vector<Chunk>& chunks, const AnalyticLoad& load,
                               const FleetSimConfig& config) {
-  obs::hostprof::Timeline* host_tl =
-      config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
   FleetSimResult result;
   const std::int64_t total_seconds =
       static_cast<std::int64_t>(config.days) * 24 * 3600;
@@ -388,9 +480,7 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
   const double fleet_capacity =
       config.server_uplink_mbps * static_cast<double>(config.server_count);
 
-  for (const AnalyticChunk& chunk : chunks) {
-    result.tests_simulated += chunk.tests_simulated;
-  }
+  for (const Chunk& chunk : chunks) result.tests_simulated += chunk.tests_simulated;
 
   std::uint64_t overload_seconds = 0;
   for (double second : load.second_load) {
@@ -398,61 +488,9 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
   }
 
   if (config.obs != nullptr && !chunks.empty() && chunks[0].hub != nullptr) {
-    // The merge target can itself rotate: its segments take the index one
-    // past the last chunk, so concat order stays (chunk, segment).
-    ChunkSpill merge_spill;
-    if (!config.obs_spill_dir.empty()) {
-      merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
-    }
-    // Component-wise merge in chunk order — identical bytes to the fused
-    // Hub::merge_from loop, but each component gets its own host-time phase.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
-      for (const AnalyticChunk& chunk : chunks) {
-        config.obs->tracer.merge_from(chunk.hub->tracer);
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
-      for (const AnalyticChunk& chunk : chunks) {
-        config.obs->metrics.merge_from(chunk.hub->metrics.snapshot());
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.spans");
-      for (const AnalyticChunk& chunk : chunks) {
-        config.obs->spans.merge_from(chunk.hub->spans);
-      }
-    }
-    // Chunk concatenation order depends on the partition; the canonical
-    // content order does not. After this, the sampled artifact renders
-    // byte-identically for every chunk size (DESIGN.md §12, §15).
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
-      config.obs->tracer.sort_canonical();
-      config.obs->spans.sort_canonical();
-    }
-    const obs::hostprof::HostScope scope(host_tl, "spill.io");
-    std::vector<ChunkSpill> spills;
-    for (AnalyticChunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
-    spills.push_back(std::move(merge_spill));
-    concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
-    concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
-    accumulate_spill(spills, result);
+    merge_chunk_obs(chunks, config, {}, result);
   }
-
-  if (config.health != nullptr) {
-    const obs::hostprof::HostScope scope(host_tl, "samplelog.replay");
-    std::vector<const obs::health::SampleLog*> logs;
-    logs.reserve(chunks.size());
-    for (const AnalyticChunk& chunk : chunks) logs.push_back(&chunk.health);
-    obs::health::SampleLog::merge_arrivals(logs, *config.health);
-    // Chunks hold consecutive draws, so replay in chunk order IS the global
-    // draw order — bit-identical health to a single serial pass.
-    for (const AnalyticChunk& chunk : chunks) {
-      chunk.health.replay_samples(*config.health);
-    }
-  }
+  replay_health(chunks, config);
 
   // Busy windows in the historical emission order: window-major, then server.
   for (std::int64_t w = 0; w < windows_total; ++w) {
@@ -481,41 +519,15 @@ FleetSimResult merge_analytic(std::vector<AnalyticChunk>& chunks,
 // Packet backend
 // ---------------------------------------------------------------------------
 
-/// One packet chunk's output. Every test in the chunk runs in its own
-/// isolated testbed (seeded by the test's global draw index), so a chunk is
-/// a pure function of its slice of draws: per-(window, server) delivered
-/// bytes and per-server protocol counters are *integers* that sum exactly —
-/// in any order — at merge. That is what makes the packet artifacts
-/// partition-free, at the documented cost of not modeling cross-test egress
-/// contention.
-struct PacketChunk {
-  struct WindowDelta {
-    std::uint32_t window = 0;
-    std::uint32_t server = 0;
-    std::int64_t bytes = 0;
-  };
-  std::vector<WindowDelta> deltas;
-  std::uint64_t tests_simulated = 0;
-  std::vector<std::uint64_t> server_accepted;    // [server_count]
-  std::vector<std::int64_t> server_probe_bytes;  // [server_count]
-  std::unique_ptr<obs::Hub> hub;  // mirror of config.obs; null when disabled
-  // One metrics snapshot per test, in draw order. Metrics must merge as a
-  // flat left fold over *tests* — not over chunks — because gauge adds and
-  // histogram `sum` accumulation are floating-point: folding per-chunk
-  // partials would make the result depend on where the chunk boundaries
-  // fall. Per-test snapshots folded in global draw order associate
-  // identically for every chunk size and job count.
-  std::vector<obs::MetricsSnapshot> metric_snaps;
-  obs::health::SampleLog health;
-  bool want_health = false;
-  ChunkSpill spill;
-  obs::ShardTelemetry telemetry;
-};
-
+/// Replays one test in its own isolated testbed, seeded by the test's global
+/// draw index, so a chunk is a pure function of its slice of draws: the
+/// per-(window, server) delivered bytes and per-server protocol counters it
+/// adds to `out` are *integers* that sum exactly — in any order — at merge.
+/// That is what makes the packet artifacts partition-free, at the documented
+/// cost of not modeling cross-test egress contention.
 void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
                      const FleetSimConfig& config, bool sampled_test,
-                     bool count_sampled, bool sampled_mode,
-                     std::int64_t windows_total, PacketChunk& out) {
+                     bool count_sampled, std::int64_t windows_total, Chunk& out) {
   netsim::TestbedConfig tb_cfg;
   tb_cfg.fleet.server_count = config.server_count;
   tb_cfg.fleet.server_uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
@@ -525,24 +537,15 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   netsim::Testbed testbed(
       tb_cfg, core::stream_seed(config.seed ^ kTestbedSeedSalt, a.test_id));
   netsim::Scheduler& sched = testbed.scheduler();
-  // Each test observes through its own hub: trace events and spans fold into
-  // the chunk hub right after the test (so chunk-level spill still engages),
-  // while the metrics snapshot is kept per test for the draw-order fold at
-  // merge (see PacketChunk::metric_snaps).
-  std::unique_ptr<obs::Hub> test_hub;
+  // The test records straight into its chunk's hub, so the chunk's spill
+  // sink sees trace overflow as it happens. An unsampled test records no
+  // trace events at all: with the mask cleared every instrumentation site
+  // sees a null tracer. Its metrics still count.
   if (out.hub != nullptr) {
-    test_hub = obs::Hub::mirror_of(*out.hub);
-    if (sampled_mode) test_hub->spans.set_sampled_mode(true);
-    // An unsampled test records no trace events at all: with the mask
-    // cleared every instrumentation site sees a null tracer, and the ring is
-    // never allocated. Its metrics still count.
-    if (!sampled_test) test_hub->tracer.set_category_mask(0);
-    // Span ids are store-local and partition-dependent; the begin/end tracer
-    // mirror would leak them into the merged trace, so spans mirror into
-    // metrics only.
-    test_hub->spans.set_sinks(nullptr, &test_hub->metrics);
+    out.hub->tracer.set_category_mask(
+        sampled_test ? config.obs->tracer.category_mask() : 0);
   }
-  sched.set_obs(test_hub.get());
+  sched.set_obs(out.hub.get());
 
   swift::ServerConfig server_cfg;
   server_cfg.uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
@@ -586,9 +589,9 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
       const std::int64_t delta = delivered - last_delivered[s];
       last_delivered[s] = delivered;
       if (delta != 0) {
-        out.deltas.push_back(
-            PacketChunk::WindowDelta{static_cast<std::uint32_t>(window_index),
-                                     static_cast<std::uint32_t>(s), delta});
+        out.deltas.push_back(Chunk::WindowDelta{
+            static_cast<std::uint32_t>(window_index), static_cast<std::uint32_t>(s),
+            delta});
         moved = true;
       }
     }
@@ -663,14 +666,9 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
     }
   }
 
-  if (test_hub != nullptr) {
-    // Fold this test's trace/spans into the chunk accumulator now (replayed
-    // through record(), so the chunk's spill sink still sees overflow) and
-    // bank the metrics snapshot for the merge-time draw-order fold.
-    out.hub->tracer.merge_from(test_hub->tracer);
-    out.hub->spans.merge_from(test_hub->spans);
-    out.metric_snaps.push_back(test_hub->metrics.snapshot());
-  }
+  // Bank this test's metrics for the merge-time draw-order fold; take()
+  // leaves the chunk registry zeroed for the next test.
+  if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.take());
 
   // Scheduler-side self-telemetry, summed across the chunk's testbeds.
   const netsim::Scheduler::AllocStats alloc = sched.alloc_stats();
@@ -692,7 +690,7 @@ void run_packet_chunk(std::span<const Arrival> arrivals,
                       const swift::ModelRegistry& registry,
                       const FleetSimConfig& config,
                       const obs::SampleSchedule* schedule,
-                      std::int64_t windows_total, PacketChunk& out) {
+                      std::int64_t windows_total, Chunk& out) {
   out.server_accepted.assign(config.server_count, 0);
   out.server_probe_bytes.assign(config.server_count, 0);
   out.metric_snaps.reserve(arrivals.size());
@@ -700,15 +698,12 @@ void run_packet_chunk(std::span<const Arrival> arrivals,
     const bool sampled = schedule == nullptr || schedule->sampled(a.test_id);
     const bool count_sampled =
         schedule != nullptr && sampled && schedule->denominator_at(a.test_id) > 1;
-    run_packet_test(a, registry, config, sampled, count_sampled,
-                    /*sampled_mode=*/schedule != nullptr, windows_total, out);
+    run_packet_test(a, registry, config, sampled, count_sampled, windows_total,
+                    out);
   }
 }
 
-FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
-                            const FleetSimConfig& config) {
-  obs::hostprof::Timeline* host_tl =
-      config.hostprof != nullptr ? &config.hostprof->main() : nullptr;
+FleetSimResult merge_packet(std::vector<Chunk>& chunks, const FleetSimConfig& config) {
   FleetSimResult result;
   const std::int64_t total_seconds =
       static_cast<std::int64_t>(config.days) * 24 * 3600;
@@ -723,9 +718,9 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
       static_cast<std::size_t>(windows_total) * config.server_count, 0);
   std::vector<std::uint64_t> accepted(config.server_count, 0);
   std::vector<std::int64_t> probe_bytes(config.server_count, 0);
-  for (const PacketChunk& chunk : chunks) {
+  for (const Chunk& chunk : chunks) {
     result.tests_simulated += chunk.tests_simulated;
-    for (const PacketChunk::WindowDelta& d : chunk.deltas) {
+    for (const Chunk::WindowDelta& d : chunk.deltas) {
       delivered[static_cast<std::size_t>(d.window) * config.server_count +
                 d.server] += d.bytes;
     }
@@ -742,42 +737,11 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
   };
 
   if (config.obs != nullptr) {
-    ChunkSpill merge_spill;
-    if (!config.obs_spill_dir.empty()) {
-      merge_spill.attach(*config.obs, config.obs_spill_dir, chunks.size());
-    }
-    // Component-wise merge in chunk order (same bytes as the fused hub
-    // merge), one host-time phase per component.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.tracer");
-      for (const PacketChunk& chunk : chunks) {
-        if (chunk.hub != nullptr) config.obs->tracer.merge_from(chunk.hub->tracer);
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.metrics");
-      // A flat left fold over per-test snapshots in global draw order: the
-      // FP additions (gauge adds, histogram sums) associate identically for
-      // every chunk size and job count, so the merged registry is a pure
-      // function of (config, seed).
-      for (const PacketChunk& chunk : chunks) {
-        for (const obs::MetricsSnapshot& snap : chunk.metric_snaps) {
-          config.obs->metrics.merge_from(snap);
-        }
-      }
-    }
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.spans");
-      for (const PacketChunk& chunk : chunks) {
-        if (chunk.hub != nullptr) config.obs->spans.merge_from(chunk.hub->spans);
-      }
-    }
     // Fleet-level series are a function of the merged byte matrix, so they
     // are emitted here — once, partition-free — rather than inside any
     // chunk: one egress_util sample per (window, server) on the global
     // grid, and the busy-window histogram.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.windows");
+    merge_chunk_obs(chunks, config, [&] {
       const bool wants_fleet = config.obs->tracer.wants(obs::Category::kFleet);
       for (std::int64_t w = 0; w < windows_total; ++w) {
         const core::SimTime ts = (w + 1) * config.window_seconds * core::seconds(1);
@@ -796,33 +760,9 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
           }
         }
       }
-    }
-    // Always canonicalize: chunk concatenation order (and chunk-local span
-    // ids) depend on the partition; the content order does not.
-    {
-      const obs::hostprof::HostScope scope(host_tl, "merge.canonicalize");
-      config.obs->tracer.sort_canonical();
-      config.obs->spans.sort_canonical();
-    }
-    const obs::hostprof::HostScope scope(host_tl, "spill.io");
-    std::vector<ChunkSpill> spills;
-    for (PacketChunk& chunk : chunks) spills.push_back(std::move(chunk.spill));
-    spills.push_back(std::move(merge_spill));
-    concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
-    concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
-    accumulate_spill(spills, result);
+    }, result);
   }
-
-  if (config.health != nullptr) {
-    const obs::hostprof::HostScope scope(host_tl, "samplelog.replay");
-    std::vector<const obs::health::SampleLog*> logs;
-    logs.reserve(chunks.size());
-    for (const PacketChunk& chunk : chunks) logs.push_back(&chunk.health);
-    obs::health::SampleLog::merge_arrivals(logs, *config.health);
-    for (const PacketChunk& chunk : chunks) {
-      chunk.health.replay_samples(*config.health);
-    }
-  }
+  replay_health(chunks, config);
 
   // Busy windows, overload, and per-server egress health from the merged
   // matrix, window-major — the historical emission order.
@@ -867,7 +807,7 @@ FleetSimResult merge_packet(std::vector<PacketChunk>& chunks,
 /// Runs one chunk's replay under a wall-clock timer, then fills the chunk's
 /// ShardTelemetry from its counters and reports it to config.resource. Both
 /// backends' run_tasks bodies go through here.
-template <typename Chunk, typename Replay>
+template <typename Replay>
 void replay_chunk(std::size_t c, std::uint64_t degradations,
                   const FleetSimConfig& config, Chunk& out, Replay&& replay) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -955,25 +895,41 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     return sched_ptr->degradations_in(lo, hi);
   };
 
-  if (config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0) {
+  const bool packet =
+      config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0;
+  std::vector<Chunk> outputs(chunk_count);
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    outputs[c].want_health = config.health != nullptr;
+    if (config.obs == nullptr) continue;
+    if (packet) {
+      // Span retention: tests begin() straight into the chunk store, and
+      // spans leave it only through the merge, which applies no capacity.
+      // A capped chunk store would refuse or rotate begins once enough
+      // tests shared a chunk, making the retained spans depend on the chunk
+      // size, so the store is uncapped.
+      make_chunk_hub(outputs[c], c, config, config.obs->tracer.capacity(),
+                     std::numeric_limits<std::size_t>::max(),
+                     /*sampled_mode=*/sched_ptr != nullptr);
+    } else if (sampling_active) {
+      // The analytic backend emits observability only under sampling (or a
+      // budget): its legacy contract is "no obs emission", and the sampled
+      // fleet.test events/spans are the artifact the byte-identity gate
+      // pins. Its chunks emit at most two events per test, so a ring of
+      // 4 * chunk_size + slack never wraps (no drop-order dependence) and a
+      // run of many small chunks cannot multiply the run's ring size by the
+      // chunk count. Its fleet.test spans root their trace trees explicitly,
+      // so sampled mode stays off.
+      make_chunk_hub(outputs[c], c, config,
+                     std::min(config.obs->tracer.capacity(), 4 * chunk_size + 1024),
+                     config.obs->spans.capacity(), /*sampled_mode=*/false);
+    }
+  }
+
+  if (packet) {
     const std::int64_t total_seconds =
         static_cast<std::int64_t>(config.days) * 24 * 3600;
     const std::int64_t windows_total =
         config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
-    std::vector<PacketChunk> outputs(chunk_count);
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-      PacketChunk& out = outputs[c];
-      out.want_health = config.health != nullptr;
-      if (config.obs != nullptr) {
-        // The chunk hub is an accumulator: tests record into their own
-        // per-test hubs (run_packet_test) and fold in after each test, so
-        // the chunk's spill sink sees overflow while metrics stay banked
-        // per test. No live recording happens here, so no sink or sampled
-        // mode setup is needed — merge_from never re-emits through sinks.
-        out.hub = obs::Hub::mirror_of(*config.obs);
-        out.spill.attach(*out.hub, config.obs_spill_dir, c);
-      }
-    }
     run_tasks(
         chunk_count, jobs,
         [&](std::size_t c) {
@@ -989,21 +945,6 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     return result;
   }
 
-  std::vector<AnalyticChunk> outputs(chunk_count);
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    AnalyticChunk& out = outputs[c];
-    out.want_health = config.health != nullptr;
-    // The analytic backend emits observability only under sampling (or a
-    // budget): its legacy contract is "no obs emission", and the sampled
-    // fleet.test events/spans are the artifact the byte-identity gate pins.
-    if (config.obs != nullptr && sampling_active) {
-      out.hub = make_chunk_hub(*config.obs, 4 * chunk_size + 1024);
-      out.spill.attach(*out.hub, config.obs_spill_dir, c);
-      // Analytic fleet.test spans root their trace trees explicitly, so
-      // sampled mode stays off; only the id-leaking tracer mirror goes.
-      out.hub->spans.set_sinks(nullptr, &out.hub->metrics);
-    }
-  }
   AnalyticLoad load;
   run_tasks(
       chunk_count, jobs,

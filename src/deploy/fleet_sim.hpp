@@ -61,9 +61,11 @@ struct FleetSimConfig {
   /// concurrency. Results and every artifact are independent of this value —
   /// it buys wall-clock time only.
   std::size_t jobs = 1;
-  /// Optional observability hub, attached to the packet backend's scheduler
-  /// for the run: per-test lifecycle traces, per-server egress-utilization
-  /// samples, and fleet.* counters land here. Null disables instrumentation.
+  /// Optional observability hub the run's artifacts land in: per-test
+  /// lifecycle traces, per-server egress-utilization samples, and fleet.*
+  /// counters. Each chunk records into one hub of its own, with this hub's
+  /// category mask and trace capacity; the chunk hubs merge into this one
+  /// after the run. Null disables instrumentation.
   obs::Hub* obs = nullptr;
   /// Optional health monitor: both backends stream the §5 operational
   /// signals into it — per-test duration, data usage, and deviation (keyed
@@ -77,7 +79,8 @@ struct FleetSimConfig {
   /// run records per-thread phase timelines — workload.gen on the calling
   /// thread, exec.run + per-worker chunk.run via run_tasks, then
   /// replay.numeric (analytic) and merge.tracer / merge.metrics /
-  /// merge.spans / merge.canonicalize / spill.io / samplelog.replay — plus
+  /// merge.spans / merge.windows (packet) / merge.canonicalize / spill.io /
+  /// samplelog.replay — plus
   /// per-worker busy/idle/claim accounting. Host time only: a non-null
   /// profiler never changes a single byte of the deterministic artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;

@@ -11,9 +11,11 @@
 // action, so components constructed before set_obs() still report. The span
 // store mirrors begin/end markers into the tracer and per-stage duration
 // histograms into the metrics registry (span.stage_seconds/<name>).
+//
+// A chunked fleet run gives each chunk one Hub that its tests record into
+// in turn, and merges the chunk hubs' stores into the caller's Hub
+// (deploy/fleet_sim.cpp, DESIGN.md §15).
 #pragma once
-
-#include <memory>
 
 #include "obs/metrics.hpp"
 #include "obs/span/span.hpp"
@@ -27,26 +29,6 @@ struct Hub {
                                                span::SpanStore::kDefaultCapacity)
       : tracer(trace_capacity), spans(span_capacity) {
     spans.set_sinks(&tracer, &metrics);
-  }
-
-  /// A fresh Hub shaped like `like` — same ring/store capacities and tracer
-  /// category mask, empty contents. Sharded runs give every shard one of
-  /// these so a later merge_from() into `like` is capacity-faithful.
-  [[nodiscard]] static std::unique_ptr<Hub> mirror_of(const Hub& like) {
-    auto hub = std::make_unique<Hub>(like.tracer.capacity(), like.spans.capacity());
-    hub->tracer.set_category_mask(like.tracer.category_mask());
-    return hub;
-  }
-
-  /// Folds another Hub's contents into this one: trace events append (drop
-  /// counts carry over), metric values add, spans append with rebased ids.
-  /// Merging shard Hubs in shard order yields one artifact set that is
-  /// independent of how the shards were scheduled onto threads; merging one
-  /// full Hub into an empty same-shape Hub reproduces it exactly.
-  void merge_from(const Hub& other) {
-    tracer.merge_from(other.tracer);
-    metrics.merge_from(other.metrics.snapshot());
-    spans.merge_from(other.spans);
   }
 
   Tracer tracer;

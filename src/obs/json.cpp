@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -9,6 +10,31 @@
 
 namespace swiftest::obs {
 namespace {
+
+/// Whether a grammatical JSON number token is below 1 in magnitude, read
+/// from its digits: the decimal exponent of its leading significant digit
+/// is negative. Tells underflow from overflow when a double cannot hold it.
+bool below_one(std::string_view token) {
+  std::size_t i = token[0] == '-' ? 1 : 0;
+  std::int64_t lead = -1;  // decimal exponent of the leading nonzero digit
+  while (i < token.size() && token[i] == '0') ++i;
+  if (i < token.size() && token[i] >= '1' && token[i] <= '9') {
+    for (; i < token.size() && token[i] >= '0' && token[i] <= '9'; ++i) ++lead;
+  } else if (i < token.size() && token[i] == '.') {
+    for (++i; i < token.size() && token[i] == '0'; ++i) --lead;
+  }
+  std::int64_t exponent = 0;
+  if (const std::size_t e = token.find_first_of("eE"); e != std::string_view::npos) {
+    std::size_t j = e + 1;
+    const bool negative = token[j] == '-';
+    if (token[j] == '-' || token[j] == '+') ++j;
+    for (; j < token.size(); ++j) {
+      exponent = std::min<std::int64_t>(exponent * 10 + (token[j] - '0'), 1'000'000'000);
+    }
+    if (negative) exponent = -exponent;
+  }
+  return lead + exponent < 0;
+}
 
 template <typename Int>
 void append_integer(std::string& out, Int v) {
@@ -418,7 +444,18 @@ class JsonParser {
     const char* end = text_.data() + pos_;
     double v = 0.0;
     const auto [ptr, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc() || ptr != end) return bad();
+    if (ec == std::errc::result_out_of_range && ptr == end) {
+      // RFC 8259 §6 lets a parser limit the range of numbers. One too small
+      // for a double reads as a signed zero, as strtod does; one too large
+      // is refused.
+      if (!below_one({begin, end})) {
+        pos_ = start;
+        return fail("number out of range");
+      }
+      v = *begin == '-' ? -0.0 : 0.0;
+    } else if (ec != std::errc() || ptr != end) {
+      return bad();
+    }
     out.type_ = JsonValue::Type::kNumber;
     out.number_ = v;
     // Keep the raw token so 64-bit integers (trace ids) survive exactly:

@@ -13,7 +13,9 @@
 // JSON without pulling a dependency into the tree. Semantics the loaders
 // rely on (covered by tests/obs/json_test.cpp):
 //   * numbers follow the JSON grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?
-//     ([eE][+-]?[0-9]+)?; `inf`, `.5`, `01` and `1.` are rejected;
+//     ([eE][+-]?[0-9]+)?; `inf`, `.5`, `01` and `1.` are rejected; a number
+//     too small for a double reads as a signed zero (`1e-400`), one too large
+//     (`1e400`) is rejected as out of range;
 //   * duplicate object keys: last value wins;
 //   * \uXXXX escapes decode to UTF-8, surrogate pairs included; a lone
 //     surrogate decodes to U+FFFD (replacement) instead of failing, so a

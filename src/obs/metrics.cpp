@@ -73,4 +73,12 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
+MetricsSnapshot MetricsRegistry::take() {
+  MetricsSnapshot snap = snapshot();
+  for (auto& [name, c] : counters_) *c = Counter();
+  for (auto& [name, g] : gauges_) *g = Gauge();
+  for (auto& [name, h] : histograms_) *h = Histogram(h->bounds());
+  return snap;
+}
+
 }  // namespace swiftest::obs

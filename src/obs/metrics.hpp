@@ -4,7 +4,8 @@
 // returned handle; hot-path updates are then a single load/increment with no
 // string hashing. Handles stay valid for the registry's lifetime (entries
 // are never removed and live behind stable pointers). snapshot() deep-copies
-// every value, so an exported snapshot is isolated from later updates.
+// every value, so an exported snapshot is isolated from later updates;
+// take() also zeroes them.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +96,11 @@ class MetricsRegistry {
   }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
+
+  /// snapshot(), then zeroes every value. Entries stay registered, so
+  /// handles already bound stay valid: a fleet chunk banks one take() per
+  /// test from the registry its tests share.
+  [[nodiscard]] MetricsSnapshot take();
 
   /// Folds a snapshot into this registry: counters and gauges add, histogram
   /// bucket counts add elementwise (a histogram absent here is created with

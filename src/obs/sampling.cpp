@@ -1,7 +1,15 @@
 #include "obs/sampling.hpp"
 
+#include "core/rng.hpp"
+
 namespace swiftest::obs {
 namespace {
+
+/// The one sampling rule: keep the test keyed `key` iff
+/// splitmix64(key ^ salt) % denominator == 0; denominator 1 keeps all.
+bool keeps(std::uint64_t key, std::uint64_t salt, std::uint64_t denominator) {
+  return denominator <= 1 || core::splitmix64(key ^ salt) % denominator == 0;
+}
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
   if (text.empty()) return false;
@@ -50,11 +58,8 @@ SampleSchedule SampleSchedule::plan(std::uint64_t test_count,
         denom < SamplingPolicy::kMaxDenominator) {
       denom *= 2;
       schedule.steps_.push_back(Step{t, denom});
-      ++schedule.degradations_;
     }
-    if (denom <= 1 || core::splitmix64(t ^ schedule.salt_) % denom == 0) {
-      footprint += model.sampled_test_bytes;
-    }
+    if (keeps(t, schedule.salt_, denom)) footprint += model.sampled_test_bytes;
     footprint += model.per_test_bytes;
   }
   return schedule;
@@ -70,9 +75,7 @@ std::uint64_t SampleSchedule::denominator_at(std::uint64_t test_id) const noexce
 }
 
 bool SampleSchedule::sampled(std::uint64_t test_id) const noexcept {
-  const std::uint64_t denom = denominator_at(test_id);
-  if (denom <= 1) return true;
-  return core::splitmix64(test_id ^ salt_) % denom == 0;
+  return keeps(test_id, salt_, denominator_at(test_id));
 }
 
 std::uint64_t SampleSchedule::degradations_in(std::uint64_t begin_test,
@@ -82,11 +85,6 @@ std::uint64_t SampleSchedule::degradations_in(std::uint64_t begin_test,
     if (steps_[i].from_test >= begin_test && steps_[i].from_test < end_test) ++count;
   }
   return count;
-}
-
-std::string SampleSchedule::describe_final() const {
-  const std::uint64_t denom = steps_.empty() ? 1 : steps_.back().denominator;
-  return "1/" + std::to_string(denom);
 }
 
 }  // namespace swiftest::obs

@@ -132,25 +132,19 @@ class Tracer {
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
   /// Appends every retained event of `src` (oldest first) and carries its
-  /// drop and spill counts over. Used to fold per-shard tracers into one
-  /// artifact in shard order: merging one full source into an empty
+  /// drop and spill counts over. Used to fold per-chunk tracers into one
+  /// artifact in chunk order: merging one full source into an empty
   /// same-capacity ring reproduces it byte for byte, retention and drop
   /// count included.
   void merge_from(const Tracer& src);
 
   /// Reorders the retained events into their content order — (ts, name, id,
   /// kind, category, value), names by string value — discarding the record
-  /// order. A sharded merge concatenates shards in shard order, which
+  /// order. A chunked merge concatenates chunks in chunk order, which
   /// depends on the partition; after this sort the retained set renders
-  /// identically for every shard count that retains the same events (the
+  /// identically for every chunk size that retains the same events (the
   /// sampled-artifact determinism contract, DESIGN.md §12).
   void sort_canonical();
-
-  /// In-memory footprint of the ring (for budget accounting): zero until
-  /// the lazy ring is allocated.
-  [[nodiscard]] std::uint64_t approx_bytes() const noexcept {
-    return ring_.capacity() * sizeof(TraceEvent);
-  }
 
   void clear() noexcept {
     head_ = 0;
@@ -168,8 +162,8 @@ class Tracer {
   void flush_spill();
 
   // The ring (capacity_ × 40 bytes, ~10 MB at the default) is allocated on
-  // the first record(), not at construction: a fleet shard's Hub mirror that
-  // never traces (mask off, or a category nothing touches) costs no memory.
+  // the first record(), not at construction: a fleet chunk's Hub that never
+  // traces (mask off, or a category nothing touches) costs no memory.
   std::vector<TraceEvent> ring_;
   std::size_t capacity_ = kDefaultCapacity;
   std::size_t head_ = 0;  // next write position

@@ -139,6 +139,7 @@ struct Artifacts {
   std::string health;
   std::string metrics;
   std::string spans;
+  std::string trace;
   std::vector<double> busy_windows;
   std::uint64_t tests = 0;
   std::uint64_t dropped = 0;
@@ -169,6 +170,9 @@ Artifacts run_packet(std::size_t chunk, std::size_t jobs) {
   std::ostringstream spans_out;
   obs::span::write_spans_json(hub.spans, spans_out);
   artifacts.spans = spans_out.str();
+  std::ostringstream trace_out;
+  obs::write_trace_jsonl(hub.tracer, trace_out);
+  artifacts.trace = trace_out.str();
   artifacts.busy_windows = result.busy_window_utilization;
   artifacts.tests = result.tests_simulated;
   artifacts.dropped = result.tests_dropped;
@@ -199,6 +203,8 @@ TEST(ChunkedFleet, PacketArtifactsIndependentOfPartitionAndJobs) {
       EXPECT_EQ(run.metrics, reference.metrics)
           << "chunk=" << chunk << " jobs=" << jobs;
       EXPECT_EQ(run.spans, reference.spans)
+          << "chunk=" << chunk << " jobs=" << jobs;
+      EXPECT_EQ(run.trace, reference.trace)
           << "chunk=" << chunk << " jobs=" << jobs;
     }
   }

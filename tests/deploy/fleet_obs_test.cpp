@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,7 +189,6 @@ TEST(FleetSampling, BudgetDegradesSamplingInsteadOfGrowing) {
 
 TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   const ObsArtifacts serial = run_fleet(FleetBackend::kPacket, 32, 1, 4);
-  const ObsArtifacts threaded = run_fleet(FleetBackend::kPacket, 32, 4, 4);
   ASSERT_GT(serial.tests, 50u);
   EXPECT_GT(serial.sampled, 0u);
   EXPECT_LT(serial.sampled, serial.tests);
@@ -198,12 +198,49 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   EXPECT_GT(serial.span_suppressed, 0u);
   EXPECT_NE(serial.spans.find("swiftest.test"), std::string::npos);
 
-  EXPECT_EQ(serial.tests, threaded.tests);
-  EXPECT_EQ(serial.sampled, threaded.sampled);
-  EXPECT_EQ(serial.trace, threaded.trace);
-  EXPECT_EQ(serial.spans, threaded.spans);
-  EXPECT_EQ(serial.metrics, threaded.metrics);
-  EXPECT_EQ(serial.health, threaded.health);
+  // Tests record straight into their chunk's hub, so the chunk size decides
+  // which tests share a store: the sampled bytes must not notice.
+  for (const std::size_t chunk : {16u, 32u}) {
+    const ObsArtifacts threaded = run_fleet(FleetBackend::kPacket, chunk, 4, 4);
+    EXPECT_EQ(serial.tests, threaded.tests) << "chunk=" << chunk;
+    EXPECT_EQ(serial.sampled, threaded.sampled) << "chunk=" << chunk;
+    EXPECT_EQ(serial.span_suppressed, threaded.span_suppressed) << "chunk=" << chunk;
+    EXPECT_EQ(serial.trace, threaded.trace) << "chunk=" << chunk;
+    EXPECT_EQ(serial.spans, threaded.spans) << "chunk=" << chunk;
+    EXPECT_EQ(serial.metrics, threaded.metrics) << "chunk=" << chunk;
+    EXPECT_EQ(serial.health, threaded.health) << "chunk=" << chunk;
+  }
+}
+
+TEST(FleetSpill, PacketTestOverflowSpillsInsteadOfDropping) {
+  // A 16-event ring is far smaller than one test's protocol trace. With a
+  // spill directory every overflow rotates to disk, down to the events of a
+  // single test: tests record into their chunk's hub, whose ring carries the
+  // spill sink, so nothing is dropped.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fleet_spill_packet";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const swift::ModelRegistry registry;
+  FleetSimConfig cfg;
+  cfg.server_count = 5;
+  cfg.days = 1;
+  cfg.tests_per_day = 40.0;
+  cfg.seed = 11;
+  cfg.backend = FleetBackend::kPacket;
+  cfg.chunk = 8;
+  cfg.obs_spill_dir = dir.string();
+  obs::Hub hub(/*trace_capacity=*/16);
+  hub.tracer.set_category_mask(static_cast<std::uint32_t>(obs::Category::kProtocol));
+  cfg.obs = &hub;
+
+  const FleetSimResult result = simulate_fleet(population(), registry, cfg);
+  ASSERT_GT(result.tests_simulated, 10u);
+  EXPECT_EQ(hub.tracer.dropped(), 0u);
+  EXPECT_GT(hub.tracer.spilled(), 0u);
+  EXPECT_GT(result.spill_trace_segments, 0u);
+  EXPECT_TRUE(result.spill_ok);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetSampling, PacketUnsampledTestsRecordNoTraceEvents) {

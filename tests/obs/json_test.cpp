@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -168,6 +169,34 @@ TEST(JsonUtil, NonJsonNumberTokensRejected) {
   for (const std::string token : {"0", "-0", "10", "0.5", "-1.25e-3", "1E+2", "2e0"}) {
     EXPECT_TRUE(parse_json("[" + token + "]").has_value()) << token;
   }
+}
+
+TEST(JsonUtil, NumberRangeUnderflowsToSignedZeroAndRejectsOverflow) {
+  // RFC 8259 §6 lets a parser limit range: a value too small for a double
+  // reads as a signed zero (as strtod does), one too large is refused with
+  // its own reason rather than "bad number".
+  for (const std::string token : {"1e-400", "-1e-400", "1000e-400", "0.001e-330",
+                                  "-0.5e-999999999999999999999"}) {
+    std::string error;
+    const auto doc = parse_json("[" + token + "]", &error);
+    ASSERT_TRUE(doc.has_value()) << token << ": " << error;
+    const double v = doc->as_array().at(0).as_number(1.0);
+    EXPECT_EQ(v, 0.0) << token;
+    EXPECT_EQ(std::signbit(v), token[0] == '-') << token;
+  }
+  const std::vector<std::string> too_large = {"1e400", "-1e400", "0.001e400",
+                                              "123456e999999999999999",
+                                              "1" + std::string(400, '0')};
+  for (const std::string& token : too_large) {
+    std::string error;
+    EXPECT_FALSE(parse_json(token, &error).has_value()) << token;
+    EXPECT_EQ(error, "number out of range at offset 0") << token;
+    EXPECT_FALSE(parse_json("[" + token + "]").has_value()) << token;
+  }
+  // The edges a double still holds parse to themselves.
+  EXPECT_EQ(parse_json("1.7976931348623157e308")->as_number(),
+            std::numeric_limits<double>::max());
+  EXPECT_GT(parse_json("4e-320")->as_number(), 0.0);
 }
 
 TEST(JsonUtil, OnlyJsonWhitespaceSkipped) {

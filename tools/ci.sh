@@ -379,8 +379,9 @@ PYEOF
 # host. fig20 (Swiftest test duration) is pure sim-time; bench_fleet_shard
 # asserts that a chunked fleet-day's artifacts are identical at every
 # worker-pool size; bench_obs_overhead pins the trace and span volumes that
-# full and 1/8-sampled observability record. No bench reports host time:
-# run_scaling_gate times its own Release runs.
+# full and 1/8-sampled observability record. No bench reports host time
+# (run_scaling_gate times its own Release runs), so values compare exactly:
+# tolerance 0, in plain and sanitized builds alike.
 run_bench_gate() {
   local build_dir="$1"
   local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
@@ -392,7 +393,7 @@ run_bench_gate() {
     name="${bench#*:}"
     "${REPO_ROOT}/${build_dir}/bench/bench_${bench%%:*}" \
       --json "${out_dir}/BENCH_${name}.json" > /dev/null
-    python3 "${REPO_ROOT}/tools/bench_compare.py" \
+    python3 "${REPO_ROOT}/tools/bench_compare.py" --tolerance 0 \
       "${REPO_ROOT}/tools/bench_baseline/BENCH_${name}.json" \
       "${out_dir}/BENCH_${name}.json"
   done
