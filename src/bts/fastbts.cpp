@@ -44,7 +44,7 @@ BtsResult FastBtsCi::run(netsim::ClientContext& client) {
   auto& sched = client.scheduler();
 
   TestSpanScope scope(client, "fastbts.test");
-  const ServerSelection sel = scope.run_selection(result, config_.ping_candidates);
+  const netsim::ServerChoice sel = scope.run_selection(result, config_.ping_candidates);
 
   ThroughputSampler sampler(sched);
   std::vector<std::unique_ptr<netsim::TcpConnection>> connections;

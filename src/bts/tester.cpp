@@ -5,12 +5,6 @@
 
 namespace swiftest::bts {
 
-ServerSelection select_server(netsim::ClientContext& client, std::size_t candidates,
-                              std::size_t concurrency) {
-  const netsim::ServerChoice choice = client.select_server(candidates, concurrency);
-  return ServerSelection{choice.server, choice.elapsed};
-}
-
 double deviation(double result_mbps, double reference_mbps) {
   const double hi = std::max(result_mbps, reference_mbps);
   if (hi <= 0.0) return 0.0;
@@ -24,13 +18,13 @@ TestSpanScope::TestSpanScope(netsim::ClientContext& client, const char* test_nam
   sctx.push(test_);
 }
 
-ServerSelection TestSpanScope::run_selection(BtsResult& result,
-                                             std::size_t candidates,
-                                             std::size_t concurrency) {
+netsim::ServerChoice TestSpanScope::run_selection(BtsResult& result,
+                                                  std::size_t candidates,
+                                                  std::size_t concurrency) {
   auto& sctx = client_.spans();
   const obs::span::SpanId span_select =
       sctx.begin(obs::Category::kProtocol, "bts.select_server");
-  const ServerSelection sel = select_server(client_, candidates, concurrency);
+  const netsim::ServerChoice sel = client_.select_server(candidates, concurrency);
   result.ping_duration = sel.elapsed;
   auto& sched = client_.scheduler();
   sched.run_until(sched.now() + sel.elapsed);

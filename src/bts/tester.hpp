@@ -3,9 +3,11 @@
 // Every tester (the flooding BTS-APP baseline, FAST, FastBTS, and Swiftest)
 // runs against a netsim::ClientContext — one client's access link plus its
 // paths into the shared server fleet — and produces the same result
-// structure, which is what the §5.3 comparison figures consume. The legacy
-// single-client netsim::Scenario converts implicitly to its ClientContext,
-// so Scenario-based call sites keep working unchanged.
+// structure, which is what the §5.3 comparison figures consume. Every tester
+// picks its server with ClientContext::select_server, whose
+// netsim::ServerChoice is the one server-selection result. The single-client
+// netsim::Scenario converts implicitly to its ClientContext, so
+// Scenario-based call sites keep working unchanged.
 #pragma once
 
 #include <cstdint>
@@ -49,20 +51,6 @@ class BandwidthTester {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Measures the PING/server-selection stage: PING `candidates` nearby
-/// servers and pick the lowest-latency one. `concurrency` pings run in
-/// parallel per batch (BTS-APP issues them one by one; Swiftest batches them
-/// to keep its selection stage around 0.2 s). Returns {server, elapsed}.
-/// Thin alias over ClientContext::select_server — the one implementation of
-/// the PING-and-pick step.
-struct ServerSelection {
-  std::size_t server = 0;
-  core::SimDuration elapsed = 0;
-};
-[[nodiscard]] ServerSelection select_server(netsim::ClientContext& client,
-                                            std::size_t candidates,
-                                            std::size_t concurrency = 1);
-
 /// Relative accuracy of a result against the ground truth (or a reference
 /// result), following §5.3: |a - b| / max(a, b). 1 = identical, 0 = useless.
 [[nodiscard]] double deviation(double result_mbps, double reference_mbps);
@@ -75,7 +63,7 @@ struct ServerSelection {
 ///
 /// Usage mirrors a test's phases:
 ///   TestSpanScope scope(client, "fast.test");
-///   const ServerSelection sel = scope.run_selection(result, candidates);
+///   const netsim::ServerChoice sel = scope.run_selection(result, candidates);
 ///   ... open connections ...
 ///   scope.begin_probe();
 ///   ... drive the probing stage ...
@@ -88,11 +76,12 @@ class TestSpanScope {
   /// span the test produces nests under it.
   TestSpanScope(netsim::ClientContext& client, const char* test_name);
 
-  /// Runs the PING/server-selection stage under a "bts.select_server" span:
-  /// picks the server, stores the selection time in `result.ping_duration`,
-  /// and advances the scheduler past it.
-  ServerSelection run_selection(BtsResult& result, std::size_t candidates,
-                                std::size_t concurrency = 1);
+  /// Runs the PING/server-selection stage (ClientContext::select_server)
+  /// under a "bts.select_server" span: picks the server, stores the
+  /// selection time in `result.ping_duration`, and advances the scheduler
+  /// past it.
+  netsim::ServerChoice run_selection(BtsResult& result, std::size_t candidates,
+                                     std::size_t concurrency = 1);
 
   /// Brackets the probing stage with a "bts.probe" span.
   void begin_probe();

@@ -337,6 +337,12 @@ void merge_chunk_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
   concat_spill(spills, /*trace_stream=*/true, config.obs_spill_dir);
   concat_spill(spills, /*trace_stream=*/false, config.obs_spill_dir);
   accumulate_spill(spills, result);
+  // The writers die with `spills`: detach the caller's hub from them, so a
+  // later overflow drops instead of writing through a freed sink.
+  if (!config.obs_spill_dir.empty()) {
+    config.obs->tracer.set_spill({});
+    config.obs->spans.set_spill({});
+  }
 }
 
 /// Replays every chunk's buffered health into config.health: arrivals k-way

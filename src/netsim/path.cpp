@@ -1,51 +1,24 @@
 #include "netsim/path.hpp"
 
-#include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace swiftest::netsim {
 
-Path::Path(Scheduler& sched, LinkBase& access_link, core::SimDuration server_delay)
+Path::Path(Scheduler& sched, LinkBase& access_link, core::SimDuration server_delay,
+           LinkBase* egress)
     : sched_(sched),
       link_(access_link),
       server_delay_(server_delay),
-      pool_(sched.transit_pool()) {}
-
-void Path::set_server_egress(core::Bandwidth uplink, core::Rng rng) {
-  if (egress() != nullptr) {
-    throw std::logic_error("Path: server egress already set");
-  }
-  if (downstream_traffic_started_) {
-    throw std::logic_error("Path: cannot set server egress after traffic has flowed");
-  }
-  LinkConfig cfg;
-  cfg.rate = uplink;
-  cfg.propagation_delay = 0;  // the backbone delay is modelled separately
-  // Server-side buffer: ~50 ms at the uplink rate.
-  cfg.queue_capacity = core::Bytes(std::max<std::int64_t>(
-      static_cast<std::int64_t>(uplink.bits_per_second() * 0.050 / 8.0), 64 * 1024));
-  owned_egress_ = std::make_unique<Link>(sched_, cfg, std::move(rng));
-}
-
-void Path::attach_server_egress(LinkBase& egress_link) {
-  if (egress() != nullptr) {
-    throw std::logic_error("Path: server egress already set");
-  }
-  if (downstream_traffic_started_) {
-    throw std::logic_error("Path: cannot attach server egress after traffic has flowed");
-  }
-  shared_egress_ = &egress_link;
-}
+      pool_(sched.transit_pool()),
+      egress_(egress) {}
 
 void Path::send_downstream(Packet packet, DeliveryFn client_sink) {
-  downstream_traffic_started_ = true;
   const std::uint32_t node = pool_.alloc();  // one ref, owned by this scope
   pool_.at(node).sink = std::move(client_sink);
-  if (LinkBase* out = egress()) {
+  if (egress_ != nullptr) {
     // The EgressHop takes over our ref; if the egress link drops the packet
     // the hop's destructor releases the node (and the client sink with it).
-    out->send(std::move(packet), DeliveryFn(EgressHop(this, node)));
+    egress_->send(std::move(packet), DeliveryFn(EgressHop(this, node)));
     return;
   }
   start_backbone(node, std::move(packet));

@@ -1,19 +1,17 @@
 // A duplex path between a test server and a client.
 //
 // Downstream (server -> client) traffic optionally traverses the server's
-// own egress link (a budget VM's 100 Mbps uplink can itself bottleneck a
-// test), then a per-server backbone delay, then the client's shared access
-// link — the bottleneck whose rate is the quantity a bandwidth test
-// estimates. Upstream (client -> server) traffic is ACKs and small control
-// messages, modelled as a pure delay (the uplink is never the bottleneck in
-// a download test).
+// egress link, fixed at construction (a budget VM's 100 Mbps uplink can
+// itself bottleneck a test), then a per-server backbone delay, then the
+// client's shared access link — the bottleneck whose rate is the quantity a
+// bandwidth test estimates. Upstream (client -> server) traffic is ACKs and
+// small control messages, modelled as a pure delay (the uplink is never the
+// bottleneck in a download test).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/time.hpp"
-#include "netsim/link.hpp"
 #include "netsim/link_base.hpp"
 #include "netsim/scheduler.hpp"
 #include "netsim/transit_pool.hpp"
@@ -25,20 +23,12 @@ class Path {
   using DeliveryFn = LinkBase::DeliveryFn;
 
   /// `access_link` is shared among all paths of one client; `server_delay` is
-  /// the one-way delay between this server and the access link.
-  Path(Scheduler& sched, LinkBase& access_link, core::SimDuration server_delay);
-
-  /// Adds a private server-side egress link of the given capacity in front
-  /// of the backbone delay. Call at most once, before traffic flows — the
-  /// contract is enforced: a second call, a call after attach_server_egress,
-  /// or a call once downstream traffic has flowed throws std::logic_error.
-  void set_server_egress(core::Bandwidth uplink, core::Rng rng);
-
-  /// Routes this path's downstream traffic through a shared egress link (one
+  /// the one-way delay between this server and the access link. `egress`,
+  /// when given, is the server's uplink in front of the backbone delay (one
   /// queue per fleet server, contended by every client crossing it — the
-  /// Testbed wiring). Same at-most-once / before-traffic contract as
-  /// set_server_egress. The link must outlive the path.
-  void attach_server_egress(LinkBase& egress);
+  /// Testbed wiring); it is fixed for the path's lifetime and must outlive it.
+  Path(Scheduler& sched, LinkBase& access_link, core::SimDuration server_delay,
+       LinkBase* egress = nullptr);
 
   /// Server -> client: (optional egress link,) backbone delay, access link.
   void send_downstream(Packet packet, DeliveryFn client_sink);
@@ -52,14 +42,10 @@ class Path {
 
   [[nodiscard]] LinkBase& access_link() noexcept { return link_; }
   [[nodiscard]] core::SimDuration server_delay() const noexcept { return server_delay_; }
-  [[nodiscard]] bool has_server_egress() const noexcept { return egress() != nullptr; }
-  [[nodiscard]] LinkBase* server_egress() noexcept { return egress(); }
+  /// The server egress link, or null when the server is unconstrained.
+  [[nodiscard]] LinkBase* server_egress() noexcept { return egress_; }
 
  private:
-  [[nodiscard]] LinkBase* egress() const noexcept {
-    return owned_egress_ ? owned_egress_.get() : shared_egress_;
-  }
-
   // A packet in flight is one pooled transit node carrying the client sink
   // (and, on the backbone leg, the packet itself); every closure involved
   // captures only {this, node index}. The hop functors below are refcounted
@@ -100,9 +86,7 @@ class Path {
   LinkBase& link_;
   core::SimDuration server_delay_;
   TransitPool& pool_;  // the scheduler's shared per-shard pool
-  std::unique_ptr<Link> owned_egress_;   // optional private server uplink
-  LinkBase* shared_egress_ = nullptr;    // optional fleet-shared server uplink
-  bool downstream_traffic_started_ = false;
+  LinkBase* egress_;  // optional server uplink, shared by the fleet server's paths
 };
 
 }  // namespace swiftest::netsim

@@ -66,12 +66,6 @@ class Scenario {
     return client().measure_ping(i);
   }
 
-  /// Index of the server with the lowest measured PING among the first
-  /// `candidates` servers — the standard BTS server-selection step.
-  [[nodiscard]] std::size_t select_nearest_server(std::size_t candidates) {
-    return client().select_server(candidates).server;
-  }
-
   /// Fork of the scenario RNG for components that need their own stream.
   [[nodiscard]] core::Rng fork_rng() { return testbed_.fork_rng(); }
 

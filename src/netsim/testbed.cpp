@@ -117,9 +117,8 @@ std::size_t Testbed::add_client(ClientAccessConfig config) {
           64 * 1024));
       server_egress_[s] = std::make_unique<FairLink>(sched_, egress_cfg, rng_.fork());
     }
-    auto path = std::make_unique<Path>(sched_, *ctx->link_, delay);
-    if (server_egress_[s]) path->attach_server_egress(*server_egress_[s]);
-    ctx->paths_.push_back(std::move(path));
+    ctx->paths_.push_back(
+        std::make_unique<Path>(sched_, *ctx->link_, delay, server_egress_[s].get()));
   }
 
   if (config.enable_cross_traffic) {

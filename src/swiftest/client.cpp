@@ -34,8 +34,8 @@ bts::BtsResult SwiftestClient::run(netsim::ClientContext& client) {
   // probes in flight at a time (~0.2 s total, §5.3).
   const obs::span::SpanId span_select =
       sctx.begin(obs::Category::kProtocol, "swiftest.select_server");
-  const bts::ServerSelection sel =
-      bts::select_server(client, client.server_count(), /*concurrency=*/4);
+  const netsim::ServerChoice sel =
+      client.select_server(client.server_count(), /*concurrency=*/4);
   result.ping_duration = sel.elapsed;
   sched.run_until(sched.now() + sel.elapsed);
   if (spans != nullptr) spans->attr_u64(span_select, "server", sel.server);

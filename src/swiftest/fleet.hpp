@@ -2,28 +2,23 @@
 //
 // In deployment (§6) every budget VM runs one server-side module and serves
 // many concurrent clients through its single uplink. ServerFleet packages
-// that shape for simulation: one multi-endpoint SwiftestServer per testbed
-// server slot. Wire clients attach to the fleet (WireClient::attach_fleet)
-// and address servers by index; the testbed routes every session bound for
-// server i through that server's one shared egress queue.
+// that shape for simulation: one SwiftestServer per testbed server slot.
+// Wire clients attach to the fleet (WireClient::attach_fleet) and address
+// servers by index; the testbed routes every session bound for server i
+// through that server's one shared egress queue.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "netsim/scheduler.hpp"
 #include "netsim/testbed.hpp"
-#include "obs/health/monitor.hpp"
 #include "swiftest/server.hpp"
 
 namespace swiftest::swift {
 
 class ServerFleet {
  public:
-  /// `count` multi-endpoint servers on a bare scheduler, all with `config`.
-  ServerFleet(netsim::Scheduler& sched, std::size_t count, ServerConfig config);
-
   /// One server per testbed server slot. When the testbed's fleet config
   /// constrains the server uplink, it overrides `config.uplink` so the
   /// protocol-level clamp agrees with the simulated egress capacity.
@@ -39,14 +34,6 @@ class ServerFleet {
   [[nodiscard]] ServerStats aggregate_stats() const;
   /// Total live sessions across the fleet.
   [[nodiscard]] std::size_t active_sessions() const noexcept;
-
-  /// Streams per-server protocol-level load into `sink`: one
-  /// "server_sessions" and one "server_probe_mb" sample per server, keyed
-  /// "server:<i>" — the load-balance view of the fleet (the "all" cell's
-  /// spread shows how evenly anycast assignment landed). Takes the sink
-  /// interface so sharded runs can log the samples and replay them in
-  /// deterministic shard order.
-  void record_health(obs::health::HealthSink& sink) const;
 
  private:
   std::vector<std::unique_ptr<SwiftestServer>> servers_;

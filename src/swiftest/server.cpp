@@ -7,12 +7,6 @@
 
 namespace swiftest::swift {
 
-SwiftestServer::SwiftestServer(netsim::Scheduler& sched, netsim::Path& path,
-                               ServerConfig config)
-    : sched_(sched), default_path_(&path), config_(config) {
-  gc_timer_ = sched_.schedule_in(config_.idle_timeout, [this] { reap_idle(); });
-}
-
 SwiftestServer::SwiftestServer(netsim::Scheduler& sched, ServerConfig config)
     : sched_(sched), config_(config) {
   gc_timer_ = sched_.schedule_in(config_.idle_timeout, [this] { reap_idle(); });
@@ -50,18 +44,9 @@ void SwiftestServer::note_session_count() {
   }
 }
 
-void SwiftestServer::on_control_message(std::span<const std::uint8_t> bytes) {
-  dispatch(bytes, nullptr, {});
-}
-
 void SwiftestServer::on_control_message(std::span<const std::uint8_t> bytes,
                                         netsim::Path& reply_path,
-                                        netsim::Path::DeliveryFn sink) {
-  dispatch(bytes, &reply_path, std::move(sink));
-}
-
-void SwiftestServer::dispatch(std::span<const std::uint8_t> bytes,
-                              netsim::Path* reply_path, netsim::Path::DeliveryFn sink) {
+                                        const netsim::Path::DeliveryFn& sink) {
   const auto type = peek_type(bytes);
   if (!type) {
     ++stats_.garbled_messages;
@@ -74,7 +59,7 @@ void SwiftestServer::dispatch(std::span<const std::uint8_t> bytes,
         ++stats_.garbled_messages;
         return;
       }
-      handle_request(*request, reply_path, std::move(sink));
+      handle_request(*request, reply_path, sink);
       return;
     }
     case MessageType::kRateUpdate: {
@@ -103,8 +88,8 @@ void SwiftestServer::dispatch(std::span<const std::uint8_t> bytes,
 }
 
 void SwiftestServer::handle_request(const ProbeRequest& request,
-                                    netsim::Path* reply_path,
-                                    netsim::Path::DeliveryFn sink) {
+                                    netsim::Path& reply_path,
+                                    const netsim::Path::DeliveryFn& sink) {
   if (sessions_.size() >= config_.max_sessions &&
       sessions_.find(request.nonce) == sessions_.end()) {
     ++stats_.requests_rejected;
@@ -117,27 +102,13 @@ void SwiftestServer::handle_request(const ProbeRequest& request,
               sessions_.size());
     return;
   }
-  if (reply_path == nullptr && default_path_ == nullptr) {
-    // Multi-endpoint server, but this request arrived without a reply
-    // endpoint: nowhere to send probes.
-    ++stats_.requests_rejected;
-    if (sched_.obs() != nullptr) {
-      if (!obs_.bound) bind_obs();
-      obs_.rejected->inc();
-    }
-    obs::log(obs::LogLevel::kWarn,
-             "server: probe request without a reply endpoint dropped");
-    return;
-  }
   auto& session = sessions_[request.nonce];  // creates or restarts
   session.rate = clamp_rate(request.initial_rate_kbps);
   session.last_update_seq = 0;
   session.last_activity = sched_.now();
   session.next_send = std::max(session.next_send, sched_.now());
-  if (reply_path != nullptr) {
-    session.path = reply_path;
-    session.sink = std::move(sink);
-  }
+  session.path = &reply_path;
+  session.sink = sink;
   ++stats_.requests_accepted;
   if (auto* hub = sched_.obs()) {
     if (!obs_.bound) bind_obs();
@@ -254,10 +225,7 @@ void SwiftestServer::pump_session(std::uint64_t nonce, Session& session) {
     pkt.payload = sched_.payload_arena().allocate(kProbeDataWireBytes, payload_out);
     serialize_into(header, payload_out);
     stats_.probe_bytes_sent += pkt.size_bytes;
-    netsim::Path* out = session.path != nullptr ? session.path : default_path_;
-    const netsim::Path::DeliveryFn& sink =
-        session.sink ? session.sink : downstream_sink_;
-    out->send_downstream(std::move(pkt), sink);
+    session.path->send_downstream(std::move(pkt), session.sink);
 
     const core::SimDuration gap = session.rate.transmit_time(
         core::Bytes(config_.probe_payload_bytes + netsim::kUdpHeaderBytes));

@@ -4,8 +4,10 @@
 // wire protocol's control messages (protocol.hpp), runs one probing session
 // per client nonce, and emits ProbeData datagrams downstream, token-bucket
 // paced at the client's commanded rate and capped at the server's uplink.
-// Sessions are garbage-collected after an idle timeout so that lost
-// TestComplete messages cannot leak server bandwidth.
+// Like a deployed budget VM it serves many clients at once: each session
+// replies over the path and sink its ProbeRequest arrived with. Sessions are
+// garbage-collected after an idle timeout so that lost TestComplete messages
+// cannot leak server bandwidth.
 #pragma once
 
 #include <cstdint>
@@ -45,37 +47,38 @@ struct ServerStats {
   std::uint64_t sessions_reaped = 0;     // idle-timeout GC
   std::int64_t probe_bytes_sent = 0;
   std::uint64_t garbled_messages = 0;
+
+  /// Element-wise sum (fleet totals, a run's private servers).
+  ServerStats& operator+=(const ServerStats& o) noexcept {
+    requests_accepted += o.requests_accepted;
+    requests_rejected += o.requests_rejected;
+    rate_updates_applied += o.rate_updates_applied;
+    rate_updates_stale += o.rate_updates_stale;
+    completions += o.completions;
+    sessions_reaped += o.sessions_reaped;
+    probe_bytes_sent += o.probe_bytes_sent;
+    garbled_messages += o.garbled_messages;
+    return *this;
+  }
 };
 
 class SwiftestServer {
  public:
-  /// Legacy single-endpoint server: every session replies over `path`.
-  SwiftestServer(netsim::Scheduler& sched, netsim::Path& path, ServerConfig config);
-  /// Multi-endpoint server: each session's reply path and delivery sink are
-  /// bound when its ProbeRequest arrives (the three-argument
-  /// on_control_message overload). This is the shape a fleet server has in
-  /// deployment — many concurrent clients, one egress.
+  /// The idle-GC timer starts here, so construction time fixes when sessions
+  /// are reaped.
   SwiftestServer(netsim::Scheduler& sched, ServerConfig config);
   ~SwiftestServer();
 
   SwiftestServer(const SwiftestServer&) = delete;
   SwiftestServer& operator=(const SwiftestServer&) = delete;
 
-  /// Entry point for client control messages (the payload of an upstream
-  /// datagram). Garbled or foreign bytes are counted and dropped.
-  void on_control_message(std::span<const std::uint8_t> bytes);
-
-  /// Multi-endpoint entry point: a ProbeRequest binds (or rebinds) the
-  /// session to `reply_path`/`sink`; later messages for the same nonce may
-  /// omit them (the two-argument overload) and still reach the right client.
+  /// The one entry point for client control messages (the payload of an
+  /// upstream datagram, plus the endpoint it came from). A ProbeRequest binds
+  /// (or rebinds) its session to `reply_path`/`sink`, where the session's
+  /// probes go; other messages ignore both. Garbled or foreign bytes are
+  /// counted and dropped.
   void on_control_message(std::span<const std::uint8_t> bytes,
-                          netsim::Path& reply_path, netsim::Path::DeliveryFn sink);
-
-  /// Where downstream probe datagrams are delivered (the client's receive
-  /// handler at the far end of the path) for sessions without a bound sink.
-  void set_downstream_sink(netsim::Path::DeliveryFn sink) {
-    downstream_sink_ = std::move(sink);
-  }
+                          netsim::Path& reply_path, const netsim::Path::DeliveryFn& sink);
 
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t active_sessions() const noexcept { return sessions_.size(); }
@@ -89,8 +92,7 @@ class SwiftestServer {
     core::SimTime last_activity = 0;
     bool timer_armed = false;
     netsim::EventHandle timer;
-    /// Reply endpoint, bound at ProbeRequest time in multi-endpoint mode;
-    /// null falls back to the server-wide default path/sink.
+    /// Reply endpoint, bound at ProbeRequest time.
     netsim::Path* path = nullptr;
     netsim::Path::DeliveryFn sink;
     /// Session lifetime span, parented at the trace anchor the client
@@ -108,12 +110,10 @@ class SwiftestServer {
     obs::Gauge* active_sessions = nullptr;
   };
 
-  void dispatch(std::span<const std::uint8_t> bytes, netsim::Path* reply_path,
-                netsim::Path::DeliveryFn sink);
   void bind_obs();
   void note_session_count();
-  void handle_request(const ProbeRequest& request, netsim::Path* reply_path,
-                      netsim::Path::DeliveryFn sink);
+  void handle_request(const ProbeRequest& request, netsim::Path& reply_path,
+                      const netsim::Path::DeliveryFn& sink);
   void handle_rate_update(std::uint64_t nonce_hint, const RateUpdate& update);
   void handle_complete(const TestComplete& complete);
   void pump(std::uint64_t nonce);
@@ -122,9 +122,7 @@ class SwiftestServer {
   [[nodiscard]] core::Bandwidth clamp_rate(double kbps) const;
 
   netsim::Scheduler& sched_;
-  netsim::Path* default_path_ = nullptr;
   ServerConfig config_;
-  netsim::Path::DeliveryFn downstream_sink_ = [](const netsim::Packet&) {};
   std::map<std::uint64_t, Session> sessions_;  // keyed by client nonce
   ServerStats stats_;
   ObsHandles obs_;

@@ -52,17 +52,6 @@ obs::span::SpanId begin_round(obs::span::SpanStore& spans, netsim::Scheduler& sc
   return id;
 }
 
-void accumulate(ServerStats& total, const ServerStats& s) {
-  total.requests_accepted += s.requests_accepted;
-  total.requests_rejected += s.requests_rejected;
-  total.rate_updates_applied += s.rate_updates_applied;
-  total.rate_updates_stale += s.rate_updates_stale;
-  total.completions += s.completions;
-  total.sessions_reaped += s.sessions_reaped;
-  total.probe_bytes_sent += s.probe_bytes_sent;
-  total.garbled_messages += s.garbled_messages;
-}
-
 }  // namespace
 
 // All per-test state lives here on the heap so the test can outlive the call
@@ -418,9 +407,7 @@ void WireClient::complete(const std::shared_ptr<RunState>& st) {
   }
 
   *st->alive = false;  // late packets must not touch the finished state
-  for (const auto& server : st->owned_servers) {
-    accumulate(st->server_stats, server->stats());
-  }
+  for (const auto& server : st->owned_servers) st->server_stats += server->stats();
   st->owned_servers.clear();
   st->completed = true;
   if (st->owner != nullptr) st->owner->server_stats_ = st->server_stats;
@@ -434,28 +421,18 @@ void WireClient::complete(const std::shared_ptr<RunState>& st) {
 
 void WireClient::send_control(RunState& st, std::size_t index,
                               std::vector<std::uint8_t> bytes) {
-  const std::size_t path_index =
-      (st.base_server + index) % st.client->server_count();
-  netsim::Path& path = st.client->server_path(path_index);
-  if (st.fleet != nullptr) {
-    SwiftestServer* server = &st.fleet->server(path_index % st.fleet->size());
-    path.send_upstream(
-        make_control_packet(st.sched->payload_arena(), st.nonce, bytes),
-        [server, path_ptr = &path, alive = st.alive,
-         sink = st.client_sink](const netsim::Packet& pkt) {
-          if (*alive && pkt.payload) {
-            server->on_control_message(pkt.payload.bytes(), *path_ptr, sink);
-          }
-        });
-    return;
-  }
-  SwiftestServer* server = st.servers[index];
-  path.send_upstream(make_control_packet(st.sched->payload_arena(), st.nonce, bytes),
-                     [server, alive = st.alive](const netsim::Packet& pkt) {
-                       if (*alive && pkt.payload) {
-                         server->on_control_message(pkt.payload.bytes());
-                       }
-                     });
+  netsim::Path& path =
+      st.client->server_path((st.base_server + index) % st.client->server_count());
+  // Captures stay within SmallFn's inline buffer: the sink is read through
+  // the run state at delivery, never copied into the closure.
+  path.send_upstream(
+      make_control_packet(st.sched->payload_arena(), st.nonce, bytes),
+      [raw = &st, server = st.servers[index], path_ptr = &path,
+       alive = st.alive](const netsim::Packet& pkt) {
+        if (*alive && pkt.payload) {
+          server->on_control_message(pkt.payload.bytes(), *path_ptr, raw->client_sink);
+        }
+      });
 }
 
 void WireClient::apply_rate(RunState& st, double total_mbps) {
@@ -473,11 +450,10 @@ void WireClient::apply_rate(RunState& st, double total_mbps) {
           (st.base_server + index) % st.client->server_count();
       st.servers.push_back(&st.fleet->server(path_index % st.fleet->size()));
     } else {
-      netsim::Path& path =
-          st.client->server_path((st.base_server + index) % st.client->server_count());
+      // Private servers are built as they are enlisted: each one's idle-GC
+      // timer starts at construction.
       st.owned_servers.push_back(
-          std::make_unique<SwiftestServer>(*st.sched, path, st.server_cfg));
-      st.owned_servers.back()->set_downstream_sink(st.client_sink);
+          std::make_unique<SwiftestServer>(*st.sched, st.server_cfg));
       st.servers.push_back(st.owned_servers.back().get());
     }
     // New servers join via a ProbeRequest at the (not yet known) share; the

@@ -8,13 +8,18 @@
 // the ProbingFsm, so any behavioural difference is transport-induced.
 //
 // Two ways to run one:
-//  - run(client): the synchronous BandwidthTester interface. Owns private
-//    per-run servers and drives the scheduler until the test completes.
+//  - run(client): the synchronous BandwidthTester interface. Drives the
+//    scheduler until the test completes.
 //  - start(client, on_complete): event-driven. Schedules the whole test as
 //    scheduler events and returns immediately, so many WireClients can probe
-//    one Testbed concurrently. attach_fleet() points the client at shared
-//    ServerFleet endpoints instead of private servers — the configuration
-//    where server egress contention is real.
+//    one Testbed concurrently.
+//
+// Server i is reached the same way in both server modes: its control
+// datagrams carry the client's reply path and sink to the multi-endpoint
+// SwiftestServer's one entry point. Without attach_fleet() the client builds
+// private per-run servers as it enlists them; with it, server i is a shared
+// ServerFleet endpoint — the configuration where server egress contention
+// is real.
 #pragma once
 
 #include <cstddef>

@@ -94,7 +94,7 @@ TEST(SelectServer, PicksLowLatencyServer) {
   netsim::ScenarioConfig cfg;
   cfg.server_count = 10;
   netsim::Scenario scenario(cfg, 34);
-  const auto sel = select_server(scenario, 5);
+  const netsim::ServerChoice sel = scenario.client().select_server(5);
   EXPECT_LT(sel.server, 5u);
   EXPECT_GT(sel.elapsed, 0);
 }

@@ -243,6 +243,46 @@ TEST(FleetSpill, PacketTestOverflowSpillsInsteadOfDropping) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FleetSpill, CallerHubDropsAfterSpillRunReturns) {
+  // The run's spill writers die with the run. Recording into the caller's
+  // hub afterwards must drop at capacity, not rotate through a sink that
+  // points at a freed writer.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fleet_spill_detach";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const swift::ModelRegistry registry;
+  FleetSimConfig cfg;
+  cfg.server_count = 5;
+  cfg.days = 1;
+  cfg.tests_per_day = 20.0;
+  cfg.seed = 12;
+  cfg.backend = FleetBackend::kPacket;
+  cfg.obs_spill_dir = dir.string();
+  obs::Hub hub(/*trace_capacity=*/16, /*span_capacity=*/16);
+  hub.tracer.set_category_mask(static_cast<std::uint32_t>(obs::Category::kProtocol));
+  cfg.obs = &hub;
+
+  const FleetSimResult result = simulate_fleet(population(), registry, cfg);
+  ASSERT_GT(result.tests_simulated, 5u);
+  ASSERT_GT(hub.tracer.spilled(), 0u);
+
+  const std::uint64_t trace_spilled = hub.tracer.spilled();
+  const std::uint64_t trace_dropped = hub.tracer.dropped();
+  const std::uint64_t span_spilled = hub.spans.spilled();
+  const std::uint64_t span_dropped = hub.spans.dropped();
+  for (int i = 0; i < 64; ++i) {
+    hub.tracer.record(i, obs::Category::kProtocol, obs::EventKind::kInstant,
+                      "after.run", static_cast<std::uint64_t>(i), 0.0);
+    hub.spans.end(hub.spans.begin(i, obs::Category::kProtocol, "after.run"), i);
+  }
+  EXPECT_EQ(hub.tracer.spilled(), trace_spilled);
+  EXPECT_GT(hub.tracer.dropped(), trace_dropped);
+  EXPECT_EQ(hub.spans.spilled(), span_spilled);
+  EXPECT_GT(hub.spans.dropped(), span_dropped);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FleetSampling, PacketUnsampledTestsRecordNoTraceEvents) {
   // A denominator this large keeps none of ~150 draws: every test is
   // unsampled, so no per-test event (netsim, protocol or fleet instant) may

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "netsim/scenario.hpp"
 #include "netsim/udp.hpp"
 #include "swiftest/client.hpp"
@@ -52,9 +50,11 @@ TEST(Path, ServerEgressCapsDownstreamRate) {
   Link link(sched, LinkConfig{Bandwidth::gbps(1), milliseconds(5),
                               core::megabytes(8)},
             core::Rng(1));
-  Path path(sched, link, milliseconds(5));
-  path.set_server_egress(Bandwidth::mbps(100), core::Rng(2));
-  ASSERT_TRUE(path.has_server_egress());
+  // DropTail server uplink with a ~50 ms buffer.
+  Link egress(sched, LinkConfig{Bandwidth::mbps(100), 0, core::Bytes(625'000)},
+              core::Rng(2));
+  Path path(sched, link, milliseconds(5), &egress);
+  ASSERT_EQ(path.server_egress(), &egress);
 
   UdpFlow flow(sched, path, 1);
   std::int64_t bytes = 0;
@@ -66,30 +66,6 @@ TEST(Path, ServerEgressCapsDownstreamRate) {
   EXPECT_LT(mbps, 105.0);
   EXPECT_GT(mbps, 85.0);
   EXPECT_GT(path.server_egress()->stats().queue_drops, 0u);
-}
-
-TEST(Path, ServerEgressCanOnlyBeSetOnce) {
-  Scheduler sched;
-  Link link(sched, LinkConfig{Bandwidth::mbps(100), milliseconds(10)}, core::Rng(1));
-  Link shared(sched, LinkConfig{Bandwidth::mbps(100), milliseconds(0)}, core::Rng(2));
-  Path path(sched, link, milliseconds(15));
-  path.set_server_egress(Bandwidth::mbps(100), core::Rng(3));
-  EXPECT_THROW(path.set_server_egress(Bandwidth::mbps(50), core::Rng(4)),
-               std::logic_error);
-  EXPECT_THROW(path.attach_server_egress(shared), std::logic_error);
-}
-
-TEST(Path, ServerEgressCannotBeSetAfterTraffic) {
-  Scheduler sched;
-  Link link(sched, LinkConfig{Bandwidth::mbps(100), milliseconds(10)}, core::Rng(1));
-  Link shared(sched, LinkConfig{Bandwidth::mbps(100), milliseconds(0)}, core::Rng(2));
-  Path path(sched, link, milliseconds(15));
-  Packet pkt;
-  pkt.size_bytes = 100;
-  path.send_downstream(pkt, [](const Packet&) {});
-  EXPECT_THROW(path.set_server_egress(Bandwidth::mbps(100), core::Rng(3)),
-               std::logic_error);
-  EXPECT_THROW(path.attach_server_egress(shared), std::logic_error);
 }
 
 TEST(Scenario, ServerUplinkConfigCapsSingleServerTests) {

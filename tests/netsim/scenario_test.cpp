@@ -45,7 +45,7 @@ TEST(Scenario, NearestServerSelectionPrefersLowRtt) {
   ScenarioConfig cfg;
   cfg.server_count = 10;
   Scenario s(cfg, 4);
-  const std::size_t chosen = s.select_nearest_server(10);
+  const std::size_t chosen = s.client().select_server(10).server;
   // The chosen server's base RTT must be within jitter (10%) of the minimum.
   core::SimDuration min_rtt = core::kSimTimeMax;
   for (std::size_t i = 0; i < 10; ++i) {

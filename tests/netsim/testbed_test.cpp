@@ -71,7 +71,7 @@ TEST(Testbed, UnconstrainedFleetHasNoEgress) {
   cfg.fleet.server_count = 2;  // server_uplink stays zero
   Testbed testbed(cfg, 7);
   EXPECT_EQ(testbed.server_egress(0), nullptr);
-  EXPECT_FALSE(testbed.client(0).server_path(0).has_server_egress());
+  EXPECT_EQ(testbed.client(0).server_path(0).server_egress(), nullptr);
 }
 
 TEST(Testbed, TwoClientsShareServerEgressFairly) {

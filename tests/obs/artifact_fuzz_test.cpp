@@ -30,6 +30,7 @@
 #include "obs/manifest/manifest.hpp"
 #include "obs/span/critical_path.hpp"
 #include "obs/span/json.hpp"
+#include "support/mutate.hpp"
 
 namespace swiftest::obs {
 namespace {
@@ -39,33 +40,6 @@ constexpr int kMutantsPerParser = 1000;
 /// Bytes that steer a mutant into the parser's interesting branches.
 constexpr std::string_view kTokens = "{}[]\":,-+.0123456789eE\\u \nntf";
 
-/// Applies one to four random mutations to `doc`.
-std::string mutate(std::string doc, core::Rng& rng) {
-  const auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  };
-  const int mutations = static_cast<int>(rng.uniform_int(1, 4));
-  for (int m = 0; m < mutations && !doc.empty(); ++m) {
-    switch (rng.uniform_int(0, 3)) {
-      case 0:  // flip one bit
-        doc[pick(doc.size())] ^= static_cast<char>(1u << pick(8));
-        break;
-      case 1:  // overwrite with a structural byte
-        doc[pick(doc.size())] = kTokens[pick(kTokens.size())];
-        break;
-      case 2:  // truncate
-        doc.resize(pick(doc.size()));
-        break;
-      default:  // insert a structural or arbitrary byte
-        doc.insert(doc.begin() + static_cast<std::ptrdiff_t>(pick(doc.size() + 1)),
-                   rng.bernoulli(0.5) ? kTokens[pick(kTokens.size())]
-                                      : static_cast<char>(pick(256)));
-        break;
-    }
-  }
-  return doc;
-}
-
 /// Runs `parse` over the seed document and kMutantsPerParser mutants of it.
 /// `parse` returns whether it produced a value and fills its error otherwise.
 void fuzz(const std::string& seed_doc, std::uint64_t seed,
@@ -74,11 +48,8 @@ void fuzz(const std::string& seed_doc, std::uint64_t seed,
   ASSERT_TRUE(parse(seed_doc, &error)) << "seed document must parse: " << error;
   core::Rng rng(seed);
   for (int i = 0; i < kMutantsPerParser; ++i) {
-    const std::string doc = mutate(seed_doc, rng);
-    // An exactly sized copy, so ASan sees any read past the end (a
-    // std::string's spare capacity would hide it).
-    const std::unique_ptr<char[]> exact(new char[doc.size()]);
-    std::copy(doc.begin(), doc.end(), exact.get());
+    const std::string doc = test_support::mutate(seed_doc, rng, kTokens);
+    const std::unique_ptr<char[]> exact = test_support::exact_copy(doc);
     error.clear();
     if (!parse(std::string_view(exact.get(), doc.size()), &error)) {
       ASSERT_FALSE(error.empty()) << "rejected without a reason: " << doc;

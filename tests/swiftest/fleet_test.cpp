@@ -93,6 +93,53 @@ TEST(ServerFleet, ConcurrentSessionsAllComplete) {
   EXPECT_EQ(fleet.active_sessions(), 0u);
 }
 
+struct FleetRun {
+  std::size_t servers = 0;
+  std::uint64_t control_messages = 0;
+  std::uint64_t heap_fallbacks = 0;  // SmallFn targets too big to sit inline
+};
+
+/// One wire test against a four-server 100 Mbps fleet, counting SmallFn heap
+/// fallbacks from start to completion.
+FleetRun run_fleet_test(double access_mbps, dataset::AccessTech tech) {
+  netsim::TestbedConfig cfg = fleet_cfg(1);
+  cfg.fleet.server_count = 4;
+  cfg.clients[0].access_rate = Bandwidth::mbps(access_mbps);
+  netsim::Testbed testbed(cfg, 34);
+  ServerFleet fleet(testbed, {});
+  SwiftestConfig client_cfg;
+  client_cfg.tech = tech;
+  WireClient wire(client_cfg, shared_registry());
+  wire.attach_fleet(fleet);
+
+  FleetRun run;
+  bool done = false;
+  const std::uint64_t before = core::small_fn_heap_allocations();
+  wire.start(testbed.client(0), [&](const bts::BtsResult& r) {
+    run.servers = r.connections_used;
+    done = true;
+  });
+  netsim::Scheduler& sched = testbed.scheduler();
+  while (!done) sched.run_until(sched.now() + milliseconds(100));
+  run.heap_fallbacks = core::small_fn_heap_allocations() - before;
+  const ServerStats stats = fleet.aggregate_stats();
+  run.control_messages =
+      stats.requests_accepted + stats.rate_updates_applied + stats.completions;
+  return run;
+}
+
+TEST(ServerFleet, ControlClosuresStayInline) {
+  // Every control datagram's delivery closure must fit SmallFn's inline
+  // buffer: enlisting four servers sends several times the control messages
+  // of one, and must not cost a single extra heap fallback.
+  const FleetRun one = run_fleet_test(50.0, dataset::AccessTech::k4G);
+  const FleetRun four = run_fleet_test(350.0, dataset::AccessTech::k5G);
+  ASSERT_EQ(one.servers, 1u);
+  ASSERT_EQ(four.servers, 4u);
+  ASSERT_GT(four.control_messages, 2 * one.control_messages);
+  EXPECT_EQ(four.heap_fallbacks, one.heap_fallbacks);
+}
+
 TEST(ServerFleet, StaleRateUpdatesAreSequenced) {
   // Drive the protocol directly: three sessions on one multi-endpoint
   // server, each receiving an out-of-order RateUpdate after a newer one.
@@ -114,13 +161,13 @@ TEST(ServerFleet, StaleRateUpdatesAreSequenced) {
     newer.nonce = nonce;
     newer.rate_kbps = 2000;
     newer.update_seq = 2;
-    server.on_control_message(serialize(newer));
+    server.on_control_message(serialize(newer), path, sink);
 
     RateUpdate stale;  // arrives late, must not roll the rate back
     stale.nonce = nonce;
     stale.rate_kbps = 50'000;
     stale.update_seq = 1;
-    server.on_control_message(serialize(stale));
+    server.on_control_message(serialize(stale), path, sink);
   }
 
   EXPECT_EQ(server.stats().requests_accepted, 3u);

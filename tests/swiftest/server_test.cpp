@@ -11,10 +11,16 @@ using core::Bandwidth;
 using core::milliseconds;
 using core::seconds;
 
+// One client endpoint: its path to the server and a sink counting the probe
+// bytes that reach it.
 struct ServerNet {
   netsim::Scheduler sched;
   netsim::Link link;
   netsim::Path path;
+  std::int64_t received = 0;
+  netsim::Path::DeliveryFn sink = [this](const netsim::Packet& pkt) {
+    received += pkt.size_bytes;
+  };
 
   explicit ServerNet(double mbps = 1000.0)
       : link(sched,
@@ -22,6 +28,11 @@ struct ServerNet {
                                 core::kilobytes(512), 0.0},
              core::Rng(3)),
         path(sched, link, milliseconds(5)) {}
+
+  /// Hands `bytes` to the server as if they arrived from this endpoint.
+  void control(SwiftestServer& server, std::span<const std::uint8_t> bytes) {
+    server.on_control_message(bytes, path, sink);
+  }
 };
 
 ProbeRequest request_for(std::uint64_t nonce, double mbps) {
@@ -34,14 +45,15 @@ ProbeRequest request_for(std::uint64_t nonce, double mbps) {
 
 TEST(SwiftestServer, SendsProbesAtRequestedRate) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
+  SwiftestServer server(net.sched, {});
   std::int64_t received = 0;
-  server.set_downstream_sink([&](const netsim::Packet& pkt) {
-    received += pkt.size_bytes;
-    ASSERT_TRUE(pkt.payload);
-    EXPECT_TRUE(parse_probe_data(pkt.payload.bytes()).has_value());
-  });
-  server.on_control_message(serialize(request_for(1, 50.0)));
+  server.on_control_message(serialize(request_for(1, 50.0)), net.path,
+                            [&](const netsim::Packet& pkt) {
+                              received += pkt.size_bytes;
+                              ASSERT_TRUE(pkt.payload);
+                              EXPECT_TRUE(
+                                  parse_probe_data(pkt.payload.bytes()).has_value());
+                            });
   net.sched.run_until(seconds(2));
   const double mbps = static_cast<double>(received) * 8.0 / 2.0 / 1e6;
   EXPECT_NEAR(mbps, 50.0, 3.0);
@@ -56,13 +68,10 @@ TEST(SwiftestServer, PacingQuantumPreservesRateWithFewerWakeups) {
     ServerNet net;
     ServerConfig cfg;
     cfg.pacing_quantum = quantum;
-    SwiftestServer server(net.sched, net.path, cfg);
-    std::int64_t received = 0;
-    server.set_downstream_sink(
-        [&](const netsim::Packet& pkt) { received += pkt.size_bytes; });
-    server.on_control_message(serialize(request_for(1, 50.0)));
+    SwiftestServer server(net.sched, cfg);
+    net.control(server, serialize(request_for(1, 50.0)));
     net.sched.run_until(seconds(2));
-    return std::pair<std::int64_t, std::uint64_t>(received,
+    return std::pair<std::int64_t, std::uint64_t>(net.received,
                                                   net.sched.events_executed());
   };
   const auto [exact_bytes, exact_events] = run_with(0);
@@ -78,68 +87,60 @@ TEST(SwiftestServer, ClampsRateToUplink) {
   ServerNet net;
   ServerConfig cfg;
   cfg.uplink = Bandwidth::mbps(100);
-  SwiftestServer server(net.sched, net.path, cfg);
-  std::int64_t received = 0;
-  server.set_downstream_sink([&](const netsim::Packet& pkt) { received += pkt.size_bytes; });
-  server.on_control_message(serialize(request_for(1, 500.0)));  // way over uplink
+  SwiftestServer server(net.sched, cfg);
+  net.control(server, serialize(request_for(1, 500.0)));  // way over uplink
   net.sched.run_until(seconds(2));
-  const double mbps = static_cast<double>(received) * 8.0 / 2.0 / 1e6;
+  const double mbps = static_cast<double>(net.received) * 8.0 / 2.0 / 1e6;
   EXPECT_LT(mbps, 105.0);
   EXPECT_GT(mbps, 90.0);
 }
 
 TEST(SwiftestServer, RateUpdateChangesPace) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
-  std::int64_t received = 0;
-  server.set_downstream_sink([&](const netsim::Packet& pkt) { received += pkt.size_bytes; });
-  server.on_control_message(serialize(request_for(1, 10.0)));
+  SwiftestServer server(net.sched, {});
+  net.control(server, serialize(request_for(1, 10.0)));
   net.sched.run_until(seconds(1));
-  const auto before = received;
-  server.on_control_message(serialize(RateUpdate{1, 80'000, 1}));
+  const auto before = net.received;
+  net.control(server, serialize(RateUpdate{1, 80'000, 1}));
   net.sched.run_until(seconds(2));
-  const double second_mbps = static_cast<double>(received - before) * 8.0 / 1e6;
+  const double second_mbps = static_cast<double>(net.received - before) * 8.0 / 1e6;
   EXPECT_NEAR(second_mbps, 80.0, 6.0);
   EXPECT_EQ(server.stats().rate_updates_applied, 1u);
 }
 
 TEST(SwiftestServer, StaleRateUpdateIgnored) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
-  server.on_control_message(serialize(request_for(1, 10.0)));
-  server.on_control_message(serialize(RateUpdate{1, 50'000, 2}));
-  server.on_control_message(serialize(RateUpdate{1, 90'000, 1}));  // reordered, stale
+  SwiftestServer server(net.sched, {});
+  net.control(server, serialize(request_for(1, 10.0)));
+  net.control(server, serialize(RateUpdate{1, 50'000, 2}));
+  net.control(server, serialize(RateUpdate{1, 90'000, 1}));  // reordered, stale
   EXPECT_EQ(server.stats().rate_updates_applied, 1u);
   EXPECT_EQ(server.stats().rate_updates_stale, 1u);
-  std::int64_t received = 0;
-  server.set_downstream_sink([&](const netsim::Packet& pkt) { received += pkt.size_bytes; });
   net.sched.run_until(seconds(1));
   // Still pacing at 50, not 90.
-  EXPECT_NEAR(static_cast<double>(received) * 8.0 / 1e6, 50.0, 5.0);
+  EXPECT_NEAR(static_cast<double>(net.received) * 8.0 / 1e6, 50.0, 5.0);
 }
 
 TEST(SwiftestServer, TestCompleteStopsSession) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
-  std::int64_t received = 0;
-  server.set_downstream_sink([&](const netsim::Packet& pkt) { received += pkt.size_bytes; });
-  server.on_control_message(serialize(request_for(1, 50.0)));
+  SwiftestServer server(net.sched, {});
+  net.control(server, serialize(request_for(1, 50.0)));
   net.sched.run_until(seconds(1));
-  server.on_control_message(serialize(TestComplete{1, 50'000, 20}));
+  net.control(server, serialize(TestComplete{1, 50'000, 20}));
   EXPECT_EQ(server.active_sessions(), 0u);
-  const auto at_complete = received;
+  const auto at_complete = net.received;
   net.sched.run_until(seconds(3));
   // Only in-flight datagrams drain after completion: one path-delay's worth
   // (~10 ms at 50 Mbps = ~63 KB), not the 18+ MB of two more seconds.
-  EXPECT_LT(received - at_complete, 150'000);
+  EXPECT_LT(net.received - at_complete, 150'000);
 }
 
 TEST(SwiftestServer, IdleSessionsAreReaped) {
   ServerNet net;
   ServerConfig cfg;
   cfg.idle_timeout = milliseconds(500);
-  SwiftestServer server(net.sched, net.path, cfg);
-  server.on_control_message(serialize(request_for(7, 30.0)));
+  SwiftestServer server(net.sched, cfg);
+  net.control(server, serialize(request_for(7, 30.0)));
   EXPECT_EQ(server.active_sessions(), 1u);
   net.sched.run_until(seconds(2));  // no TestComplete ever arrives
   EXPECT_EQ(server.active_sessions(), 0u);
@@ -150,47 +151,45 @@ TEST(SwiftestServer, RejectsWhenFull) {
   ServerNet net;
   ServerConfig cfg;
   cfg.max_sessions = 2;
-  SwiftestServer server(net.sched, net.path, cfg);
-  server.on_control_message(serialize(request_for(1, 1.0)));
-  server.on_control_message(serialize(request_for(2, 1.0)));
-  server.on_control_message(serialize(request_for(3, 1.0)));
+  SwiftestServer server(net.sched, cfg);
+  net.control(server, serialize(request_for(1, 1.0)));
+  net.control(server, serialize(request_for(2, 1.0)));
+  net.control(server, serialize(request_for(3, 1.0)));
   EXPECT_EQ(server.active_sessions(), 2u);
   EXPECT_EQ(server.stats().requests_rejected, 1u);
   // A repeat request for an existing session is not a rejection.
-  server.on_control_message(serialize(request_for(2, 5.0)));
+  net.control(server, serialize(request_for(2, 5.0)));
   EXPECT_EQ(server.stats().requests_rejected, 1u);
 }
 
 TEST(SwiftestServer, GarbledMessagesCountedAndDropped) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
-  server.on_control_message(std::vector<std::uint8_t>{1, 2, 3});
-  server.on_control_message({});
+  SwiftestServer server(net.sched, {});
+  net.control(server, std::vector<std::uint8_t>{1, 2, 3});
+  net.control(server, {});
   // A downstream-only ProbeData arriving upstream is misuse.
-  server.on_control_message(serialize(ProbeData{1, 2}));
+  net.control(server, serialize(ProbeData{1, 2}));
   EXPECT_EQ(server.stats().garbled_messages, 3u);
   EXPECT_EQ(server.active_sessions(), 0u);
 }
 
 TEST(SwiftestServer, UpdateForUnknownSessionIgnored) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
-  server.on_control_message(serialize(RateUpdate{99, 50'000, 1}));
-  server.on_control_message(serialize(TestComplete{99, 1, 1}));
+  SwiftestServer server(net.sched, {});
+  net.control(server, serialize(RateUpdate{99, 50'000, 1}));
+  net.control(server, serialize(TestComplete{99, 1, 1}));
   EXPECT_EQ(server.stats().rate_updates_applied, 0u);
   EXPECT_EQ(server.stats().completions, 0u);
 }
 
 TEST(SwiftestServer, MultipleSessionsSharePacing) {
   ServerNet net;
-  SwiftestServer server(net.sched, net.path, {});
-  std::int64_t received = 0;
-  server.set_downstream_sink([&](const netsim::Packet& pkt) { received += pkt.size_bytes; });
-  server.on_control_message(serialize(request_for(1, 20.0)));
-  server.on_control_message(serialize(request_for(2, 30.0)));
+  SwiftestServer server(net.sched, {});
+  net.control(server, serialize(request_for(1, 20.0)));
+  net.control(server, serialize(request_for(2, 30.0)));
   EXPECT_EQ(server.active_sessions(), 2u);
   net.sched.run_until(seconds(2));
-  const double mbps = static_cast<double>(received) * 8.0 / 2.0 / 1e6;
+  const double mbps = static_cast<double>(net.received) * 8.0 / 2.0 / 1e6;
   EXPECT_NEAR(mbps, 50.0, 4.0);
 }
 

@@ -449,6 +449,32 @@ TEST(Cli, FleetRunMatchesGoldensAtAnyPartition) {
   }
 }
 
+// The wire client against its private per-run servers (test --wire): the
+// committed goldens pin its spans (four server.session spans joined to the
+// client's tree), metrics, protocol trace and summary byte for byte.
+TEST(Cli, TestWireMatchesGoldens) {
+  const std::string golden_dir = SWIFTEST_GOLDEN_DIR;
+  const std::string spans_path = testing::TempDir() + "/cli_test_wire_spans.json";
+  const std::string metrics_path = testing::TempDir() + "/cli_test_wire_metrics.json";
+  const std::string trace_path = testing::TempDir() + "/cli_test_wire_trace.jsonl";
+  std::string output;
+  ASSERT_EQ(run({"test", "--rate", "50", "--wire", "--seed", "42",
+                 "--trace-categories", "protocol", "--spans-out", spans_path,
+                 "--metrics-out", metrics_path, "--trace-jsonl", trace_path},
+                output),
+            0);
+  EXPECT_EQ(slurp(spans_path), slurp(golden_dir + "/test_wire_spans.json"));
+  EXPECT_EQ(slurp(metrics_path), slurp(golden_dir + "/test_wire_metrics.json"));
+  EXPECT_EQ(slurp(trace_path), slurp(golden_dir + "/test_wire_trace.jsonl"));
+
+  // The summary lines (everything before the artifact-path echoes).
+  std::istringstream lines(output);
+  std::string line;
+  std::string summary;
+  for (int i = 0; i < 2 && std::getline(lines, line); ++i) summary += line + "\n";
+  EXPECT_EQ(summary, slurp(golden_dir + "/test_wire_stdout.txt"));
+}
+
 // Host-time profiling must be pure observation: switching --prof-out /
 // --prof-trace on cannot move a single byte of the deterministic artifacts.
 // (ci.sh gates the same property on a full fleet-day.)

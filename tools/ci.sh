@@ -76,25 +76,27 @@ run_health_gate() {
   echo "health report validated, SLOs passed"
 }
 
-# One traced packet fleet-day per suite, piped through `trace analyze`: the
-# attribution JSON must parse, and every trace's critical-path segments must
-# sum to its root duration within 1% — the span layer's core invariant.
-run_span_gate() {
-  local build_dir="$1"
-  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
-  echo "=== span attribution gate (${build_dir}) ==="
-  mkdir -p "${out_dir}"
-  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
-    --servers 5 --days 1 --tests-per-day 200 --seed 3 \
-    --spans-out "${out_dir}/spans.json" \
-    --attribution-md "${out_dir}/attribution.md"
+# Runs `trace analyze` on a span file and checks the attribution JSON: it
+# must parse, and every trace's critical-path segments must sum to its root
+# duration within 1% — the span layer's core invariant. With a root name,
+# the file must also hold exactly one trace, rooted there, with no orphans.
+check_span_attribution() {
+  local build_dir="$1" spans="$2" attribution="$3" root_name="${4:-}"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" trace analyze \
-    "${out_dir}/spans.json" --json "${out_dir}/attribution.json"
-  python3 - "${out_dir}/attribution.json" <<'PYEOF'
+    "${spans}" --json "${attribution}"
+  python3 - "${attribution}" "${root_name}" <<'PYEOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
+root_name = sys.argv[2]
 traces = report["traces"]
 assert traces, "attribution report holds no traces"
+if root_name:
+    summary = report["summary"]
+    assert summary["traces"] == 1, f"expected 1 trace, got {summary['traces']}"
+    assert traces[0]["root_name"] == root_name, \
+        f"root is {traces[0]['root_name']}, expected {root_name}"
+    assert summary["orphan_spans"] == 0, \
+        f"{summary['orphan_spans']} spans did not join the {root_name} tree"
 bad = [t for t in traces
        if t["duration_s"] > 0
        and abs(t["critical_sum_s"] - t["duration_s"]) > 0.01 * t["duration_s"]]
@@ -105,6 +107,27 @@ if bad:
     sys.exit(f"{len(bad)}/{len(traces)} traces violate the 1% critical-sum invariant")
 print(f"span attribution validated: {len(traces)} traces within 1%")
 PYEOF
+}
+
+# One traced packet fleet-day per suite, plus one wire test against private
+# servers, each piped through `trace analyze` (check_span_attribution). The
+# wire test's server.session spans must join the client's swiftest.test
+# tree through the nonce anchor: one trace, no orphans.
+run_span_gate() {
+  local build_dir="$1"
+  local out_dir="${REPO_ROOT}/${build_dir}/obs-smoke"
+  echo "=== span attribution gate (${build_dir}) ==="
+  mkdir -p "${out_dir}"
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+    --servers 5 --days 1 --tests-per-day 200 --seed 3 \
+    --spans-out "${out_dir}/spans.json" \
+    --attribution-md "${out_dir}/attribution.md"
+  check_span_attribution "${build_dir}" "${out_dir}/spans.json" \
+    "${out_dir}/attribution.json"
+  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" test --rate 50 --wire \
+    --spans-out "${out_dir}/wire-spans.json" > /dev/null
+  check_span_attribution "${build_dir}" "${out_dir}/wire-spans.json" \
+    "${out_dir}/wire-attribution.json" swiftest.test
 }
 
 # Partition-invariance gate (DESIGN.md §15): a 10k-test fleet-day must emit
