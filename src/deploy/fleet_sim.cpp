@@ -13,7 +13,6 @@
 #include "core/rng.hpp"
 #include "dataset/profiles.hpp"
 #include "dataset/taxonomy.hpp"
-#include "obs/health/sample_log.hpp"
 #include "obs/log.hpp"
 #include "obs/spill.hpp"
 #include "deploy/exec.hpp"
@@ -134,6 +133,52 @@ std::vector<std::string> arrival_dimensions(const Arrival& a) {
           "server:" + std::to_string(a.first_server)};
 }
 
+/// One test's health sample. A packet test's done-callback fills the slot of
+/// its draw index; a test whose callback never fires stays incomplete and
+/// records no sample.
+struct TestOutcome {
+  bool completed = false;
+  double duration_s = 0.0;
+  double data_mb = 0.0;
+  double deviation = 0.0;
+};
+
+/// The analytic backend's closed-form outcome: data usage at the settled
+/// probing rate for the test's duration. With no estimator, the deviation is
+/// the model-coverage proxy — zero whenever the settled rate covers the
+/// client's truth.
+TestOutcome analytic_outcome(const Arrival& a) {
+  return {true, static_cast<double>(a.duration_s),
+          a.rate_mbps * static_cast<double>(a.duration_s) / 8.0,
+          bts::deviation(std::min(a.rate_mbps, a.truth_mbps), a.truth_mbps)};
+}
+
+/// Feeds config.health once, walking the workload in draw order: every
+/// arrival, plus each completed test's sample under its dimension keys.
+/// Arrival seconds never decrease in draw order, so the windowed rate sees a
+/// monotone clock; arrivals and samples touch disjoint monitor state, so
+/// interleaving them is the same as noting every arrival first.
+template <typename OutcomeOf>
+void fold_health(std::span<const Arrival> workload, const FleetSimConfig& config,
+                 OutcomeOf&& outcome_of) {
+  if (config.health == nullptr) return;
+  const obs::hostprof::HostScope scope(
+      config.hostprof != nullptr ? &config.hostprof->main() : nullptr,
+      "merge.health");
+  for (const Arrival& a : workload) {
+    config.health->note_arrival(static_cast<double>(a.second));
+    const TestOutcome outcome = outcome_of(a);
+    if (!outcome.completed) continue;
+    const auto dims = arrival_dimensions(a);
+    obs::health::TestSample sample;
+    sample.duration_s = outcome.duration_s;
+    sample.data_mb = outcome.data_mb;
+    sample.deviation = outcome.deviation;
+    sample.dimensions = dims;
+    config.health->record_test(sample);
+  }
+}
+
 void finish_result(FleetSimResult& result, std::uint64_t overload_seconds,
                    std::uint64_t total_seconds) {
   std::sort(result.busy_window_utilization.begin(),
@@ -234,15 +279,13 @@ obs::SampleSchedule::CostModel sample_cost_model(const FleetSimConfig& config) {
   return model;
 }
 
-/// One chunk's output, both backends: the tests, health samples and
-/// observability of its consecutive slice of draws. Nothing numeric that could
-/// depend on where chunk boundaries fall lives here: packet window deltas
-/// and server counters are integers that sum exactly in any order, and the
-/// analytic load accounting runs once, over the whole workload, at merge.
+/// One chunk's output, both backends: the tests and observability of its
+/// consecutive slice of draws. Nothing numeric that could depend on where
+/// chunk boundaries fall lives here: packet window deltas and server counters
+/// are integers that sum exactly in any order, and the analytic load
+/// accounting and the health feed run once, over the whole workload, at merge.
 struct Chunk {
   std::uint64_t tests_simulated = 0;
-  obs::health::SampleLog health;
-  bool want_health = false;
   /// The chunk's hub (make_chunk_hub); null when the run records no
   /// observability. Tests record straight into it.
   std::unique_ptr<obs::Hub> hub;
@@ -345,22 +388,6 @@ void merge_chunk_obs(std::vector<Chunk>& chunks, const FleetSimConfig& config,
   }
 }
 
-/// Replays every chunk's buffered health into config.health: arrivals k-way
-/// merge by sim time, then samples replay chunk by chunk. Chunks hold
-/// consecutive draws, so chunk order IS the global draw order — bit-identical
-/// health to a single serial pass.
-void replay_health(const std::vector<Chunk>& chunks, const FleetSimConfig& config) {
-  if (config.health == nullptr) return;
-  const obs::hostprof::HostScope scope(
-      config.hostprof != nullptr ? &config.hostprof->main() : nullptr,
-      "samplelog.replay");
-  std::vector<const obs::health::SampleLog*> logs;
-  logs.reserve(chunks.size());
-  for (const Chunk& chunk : chunks) logs.push_back(&chunk.health);
-  obs::health::SampleLog::merge_arrivals(logs, *config.health);
-  for (const Chunk& chunk : chunks) chunk.health.replay_samples(*config.health);
-}
-
 // ---------------------------------------------------------------------------
 // Analytic backend
 // ---------------------------------------------------------------------------
@@ -391,20 +418,6 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
       out.hub->spans.attr_f64(span, "truth_mbps", a.truth_mbps);
       out.hub->spans.attr_f64(span, "rate_mbps", a.rate_mbps);
       out.hub->spans.end(span, te);
-    }
-    if (out.want_health) {
-      out.health.note_arrival(static_cast<double>(a.second));
-      obs::health::TestSample sample;
-      sample.duration_s = static_cast<double>(a.duration_s);
-      // Data usage at the settled probing rate for the test's duration.
-      sample.data_mb = a.rate_mbps * static_cast<double>(a.duration_s) / 8.0;
-      // No estimator in the closed form: deviation is the model-coverage
-      // proxy — zero whenever the settled rate covers the client's truth.
-      sample.deviation =
-          bts::deviation(std::min(a.rate_mbps, a.truth_mbps), a.truth_mbps);
-      const auto dims = arrival_dimensions(a);
-      sample.dimensions = dims;
-      out.health.record_test(sample);
     }
   }
   if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.snapshot());
@@ -477,6 +490,7 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
 }
 
 FleetSimResult merge_analytic(std::vector<Chunk>& chunks, const AnalyticLoad& load,
+                              std::span<const Arrival> workload,
                               const FleetSimConfig& config) {
   FleetSimResult result;
   const std::int64_t total_seconds =
@@ -496,7 +510,7 @@ FleetSimResult merge_analytic(std::vector<Chunk>& chunks, const AnalyticLoad& lo
   if (config.obs != nullptr && !chunks.empty() && chunks[0].hub != nullptr) {
     merge_chunk_obs(chunks, config, {}, result);
   }
-  replay_health(chunks, config);
+  fold_health(workload, config, analytic_outcome);
 
   // Busy windows in the historical emission order: window-major, then server.
   for (std::int64_t w = 0; w < windows_total; ++w) {
@@ -533,7 +547,8 @@ FleetSimResult merge_analytic(std::vector<Chunk>& chunks, const AnalyticLoad& lo
 /// cost of not modeling cross-test egress contention.
 void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
                      const FleetSimConfig& config, bool sampled_test,
-                     bool count_sampled, std::int64_t windows_total, Chunk& out) {
+                     bool count_sampled, std::int64_t windows_total,
+                     TestOutcome* outcome, Chunk& out) {
   netsim::TestbedConfig tb_cfg;
   tb_cfg.fleet.server_count = config.server_count;
   tb_cfg.fleet.server_uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
@@ -556,7 +571,6 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   swift::ServerConfig server_cfg;
   server_cfg.uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
 
-  obs::health::HealthSink* health = out.want_health ? &out.health : nullptr;
   netsim::ClientContext& ctx = testbed.client(0);
   // Whole-test sampling: keyed on the global draw index, so the decision is
   // identical for every chunk size and jobs value. Every span this test's
@@ -608,7 +622,6 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   };
 
   sched.schedule_at(start, [&] {
-    if (health != nullptr) health->note_arrival(static_cast<double>(a.second));
     if (config.resource != nullptr) config.resource->add_tests(1);
     // Servers are born at test start, not at t = 0: their idle-GC timers
     // only tick while the test lives, which keeps this private scheduler's
@@ -642,14 +655,10 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
         hub->spans.end(test_span, sched.now());
       }
       test_span = obs::span::kNoSpan;
-      if (health != nullptr) {
-        obs::health::TestSample sample;
-        sample.duration_s = core::to_seconds(r.total_duration());
-        sample.data_mb = r.data_used.megabytes();
-        sample.deviation = bts::deviation(r.bandwidth_mbps, a.truth_mbps);
-        const auto dims = arrival_dimensions(a);
-        sample.dimensions = dims;
-        health->record_test(sample);
+      if (outcome != nullptr) {
+        *outcome = {true, core::to_seconds(r.total_duration()),
+                    r.data_used.megabytes(),
+                    bts::deviation(r.bandwidth_mbps, a.truth_mbps)};
       }
     });
     sctx.pop(test_span);
@@ -692,11 +701,14 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
   t.calendar_far_pushes += cal.far_pushes;
 }
 
+/// `outcomes` is empty when the run keeps no health, else holds one slot per
+/// workload draw; chunks own disjoint index ranges of it.
 void run_packet_chunk(std::span<const Arrival> arrivals,
                       const swift::ModelRegistry& registry,
                       const FleetSimConfig& config,
                       const obs::SampleSchedule* schedule,
-                      std::int64_t windows_total, Chunk& out) {
+                      std::int64_t windows_total,
+                      std::span<TestOutcome> outcomes, Chunk& out) {
   out.server_accepted.assign(config.server_count, 0);
   out.server_probe_bytes.assign(config.server_count, 0);
   out.metric_snaps.reserve(arrivals.size());
@@ -705,11 +717,14 @@ void run_packet_chunk(std::span<const Arrival> arrivals,
     const bool count_sampled =
         schedule != nullptr && sampled && schedule->denominator_at(a.test_id) > 1;
     run_packet_test(a, registry, config, sampled, count_sampled, windows_total,
-                    out);
+                    outcomes.empty() ? nullptr : &outcomes[a.test_id], out);
   }
 }
 
-FleetSimResult merge_packet(std::vector<Chunk>& chunks, const FleetSimConfig& config) {
+FleetSimResult merge_packet(std::vector<Chunk>& chunks,
+                            std::span<const Arrival> workload,
+                            std::span<const TestOutcome> outcomes,
+                            const FleetSimConfig& config) {
   FleetSimResult result;
   const std::int64_t total_seconds =
       static_cast<std::int64_t>(config.days) * 24 * 3600;
@@ -768,7 +783,8 @@ FleetSimResult merge_packet(std::vector<Chunk>& chunks, const FleetSimConfig& co
       }
     }, result);
   }
-  replay_health(chunks, config);
+  fold_health(workload, config,
+              [&](const Arrival& a) { return outcomes[a.test_id]; });
 
   // Busy windows, overload, and per-server egress health from the merged
   // matrix, window-major — the historical emission order.
@@ -823,7 +839,6 @@ void replay_chunk(std::size_t c, std::uint64_t degradations,
   t.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   t.tests = out.tests_simulated;
-  t.health_dropped = out.health.dropped();
   t.sample_degradations = degradations;
   if (out.hub != nullptr) {
     t.trace_dropped = out.hub->tracer.dropped();
@@ -905,7 +920,6 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
       config.backend == FleetBackend::kPacket && config.server_uplink_mbps > 0.0;
   std::vector<Chunk> outputs(chunk_count);
   for (std::size_t c = 0; c < chunk_count; ++c) {
-    outputs[c].want_health = config.health != nullptr;
     if (config.obs == nullptr) continue;
     if (packet) {
       // Span retention: tests begin() straight into the chunk store, and
@@ -936,17 +950,18 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
         static_cast<std::int64_t>(config.days) * 24 * 3600;
     const std::int64_t windows_total =
         config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
+    std::vector<TestOutcome> outcomes(config.health != nullptr ? workload.size() : 0);
     run_tasks(
         chunk_count, jobs,
         [&](std::size_t c) {
           replay_chunk(c, chunk_degradations(c), config, outputs[c], [&] {
             run_packet_chunk(chunk_arrivals(c), registry, config, sched_ptr,
-                             windows_total, outputs[c]);
+                             windows_total, outcomes, outputs[c]);
           });
         },
         config.hostprof);
     const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-    result = merge_packet(outputs, config);
+    result = merge_packet(outputs, workload, outcomes, config);
     finish_resource();
     return result;
   }
@@ -969,7 +984,7 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     load = compute_analytic_load(workload, config);
   }
   const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-  result = merge_analytic(outputs, load, config);
+  result = merge_analytic(outputs, load, workload, config);
   finish_resource();
   return result;
 }

@@ -67,21 +67,22 @@ struct FleetSimConfig {
   /// category mask and trace capacity; the chunk hubs merge into this one
   /// after the run. Null disables instrumentation.
   obs::Hub* obs = nullptr;
-  /// Optional health monitor: both backends stream the §5 operational
+  /// Optional health monitor: both backends feed the §5 operational
   /// signals into it — per-test duration, data usage, and deviation (keyed
   /// by tech/ISP/server dimensions) plus per-server busy-window egress
-  /// utilization and the windowed test-arrival rate. The analytic backend
-  /// has no estimator, so its deviation is the model-coverage proxy
-  /// |min(rate, truth) - truth| / truth (0 whenever the settled probing
-  /// rate covers the client). Null disables health aggregation.
+  /// utilization and the windowed test-arrival rate. The monitor is fed
+  /// once, at merge, walking the workload in draw order; chunks only fill
+  /// per-test outcome slots. The analytic backend has no estimator, so its
+  /// deviation is the model-coverage proxy |min(rate, truth) - truth| /
+  /// truth (0 whenever the settled probing rate covers the client). Null
+  /// disables health aggregation.
   obs::health::HealthMonitor* health = nullptr;
   /// Optional thread-aware host-time profiler (obs/hostprof/). When set, the
   /// run records per-thread phase timelines — workload.gen on the calling
   /// thread, exec.run + per-worker chunk.run via run_tasks, then
   /// replay.numeric (analytic) and merge.tracer / merge.metrics /
   /// merge.spans / merge.windows (packet) / merge.canonicalize / spill.io /
-  /// samplelog.replay — plus
-  /// per-worker busy/idle/claim accounting. Host time only: a non-null
+  /// merge.health — plus per-worker busy/idle/claim accounting. Host time only: a non-null
   /// profiler never changes a single byte of the deterministic artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
   /// Deterministic whole-test observability sampling (DESIGN.md §12). When
@@ -123,10 +124,6 @@ struct FleetSimResult {
   /// Fraction of seconds where requested load exceeded fleet capacity.
   double overload_seconds_share = 0.0;
   std::uint64_t tests_simulated = 0;
-  /// Always 0 since the partition-free runtime: every arrival runs in its
-  /// own isolated testbed, so there is no client-slot pool to exhaust. Kept
-  /// for artifact compatibility.
-  std::uint64_t tests_dropped = 0;
   /// Spill accounting summed over every chunk's writers plus the merge
   /// target (all zero when --obs-spill-dir is off). Deterministic — segment
   /// rotation depends on store capacity and event volume, never on --jobs —

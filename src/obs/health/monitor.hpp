@@ -12,6 +12,11 @@
 // so the health layer itself depends only on core. Every sample lands in the
 // "all" cell plus each provided dimension cell. Snapshots are std::map-keyed
 // and therefore deterministically ordered — same seed, same bytes.
+//
+// The P² cells are order-sensitive and do not merge, so a monitor is fed from
+// one thread in one order. The chunked fleet runtime feeds it once, at merge,
+// walking the workload in draw order (deploy/fleet_sim.cpp): its chunks never
+// touch the monitor.
 #pragma once
 
 #include <cstdint>
@@ -91,30 +96,6 @@ struct TestSample {
   std::span<const std::string> dimensions;
 };
 
-/// Where health observations land. HealthMonitor aggregates them in place;
-/// SampleLog (sample_log.hpp) buffers them verbatim so a sharded run can
-/// collect per-shard streams concurrently and replay them into one monitor
-/// in a deterministic order after the shards join.
-class HealthSink {
- public:
-  virtual ~HealthSink() = default;
-
-  /// Notes a test arrival at sim time `t_seconds` (feeds the windowed rate).
-  virtual void note_arrival(double t_seconds) = 0;
-
-  /// Records a completed test: duration, data, and deviation each land in
-  /// "all" plus every dimension key in `sample.dimensions`.
-  virtual void record_test(const TestSample& sample) = 0;
-
-  /// Records one egress-utilization window sample (%) for a server; lands in
-  /// "all" and "server:<index>".
-  virtual void record_egress_utilization(std::uint64_t server, double util_pct) = 0;
-
-  /// Records `value` for an arbitrary metric under "all" + `dimensions`.
-  virtual void record(std::string_view metric, double value,
-                      std::span<const std::string> dimensions) = 0;
-};
-
 /// metric name -> dimension key -> aggregate.
 struct HealthSnapshot {
   std::map<std::string, std::map<std::string, AggregateStats>> metrics;
@@ -132,18 +113,28 @@ inline constexpr const char* kMetricDataUsage = "data_mb";
 inline constexpr const char* kMetricDeviation = "deviation";
 inline constexpr const char* kMetricEgressUtil = "egress_util";
 
-class HealthMonitor final : public HealthSink {
+class HealthMonitor {
  public:
   explicit HealthMonitor(double rate_window_seconds = 10.0);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  void note_arrival(double t_seconds) override;
-  void record_test(const TestSample& sample) override;
-  void record_egress_utilization(std::uint64_t server, double util_pct) override;
+  /// Notes a test arrival at sim time `t_seconds` (feeds the windowed rate;
+  /// must be non-decreasing).
+  void note_arrival(double t_seconds);
+
+  /// Records a completed test: duration, data, and deviation each land in
+  /// "all" plus every dimension key in `sample.dimensions`.
+  void record_test(const TestSample& sample);
+
+  /// Records one egress-utilization window sample (%) for a server; lands in
+  /// "all" and "server:<index>".
+  void record_egress_utilization(std::uint64_t server, double util_pct);
+
+  /// Records `value` for an arbitrary metric under "all" + `dimensions`.
   void record(std::string_view metric, double value,
-              std::span<const std::string> dimensions = {}) override;
+              std::span<const std::string> dimensions = {});
 
   [[nodiscard]] HealthSnapshot snapshot() const;
 

@@ -131,7 +131,6 @@ ShardTelemetry ResourceMonitor::totals_locked() const {
     total.trace_spilled += t.trace_spilled;
     total.span_dropped += t.span_dropped;
     total.span_spilled += t.span_spilled;
-    total.health_dropped += t.health_dropped;
     total.sample_degradations += t.sample_degradations;
   }
   return total;
@@ -158,7 +157,6 @@ void ResourceMonitor::export_metrics(MetricsRegistry& metrics) const {
   // Trace/span drop and spill counts are NOT exported here: the post-merge
   // hub carries them (merge_from sums shard counts) and the CLI surfaces
   // those directly — exporting both would double-count.
-  put("obs.health_dropped", total.health_dropped);
   put("obs.sample_degradations", total.sample_degradations);
 }
 
@@ -183,7 +181,6 @@ void ResourceMonitor::append_report_meta(health::ReportMeta& meta) {
   // Trace/span drop/spill counts are surfaced from the merged hub (the CLI
   // adds only-nonzero meta entries); duplicating them here would produce
   // conflicting keys in the same report.
-  meta.emplace_back("obs.health_dropped", std::to_string(total.health_dropped));
   meta.emplace_back("obs.sample_degradations",
                     std::to_string(total.sample_degradations));
 }

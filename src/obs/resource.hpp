@@ -63,7 +63,6 @@ struct ShardTelemetry {
   std::uint64_t trace_spilled = 0;
   std::uint64_t span_dropped = 0;
   std::uint64_t span_spilled = 0;
-  std::uint64_t health_dropped = 0;
   std::uint64_t sample_degradations = 0;
 };
 

@@ -1,7 +1,6 @@
 // Resource self-telemetry (obs/resource.hpp): deterministic per-shard
 // counters aggregate and export separately from host measurements (RSS,
-// wall time), and the bounded SampleLog degrades by counting drops instead
-// of growing without bound.
+// wall time).
 #include "obs/resource.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 
 #include "obs/export.hpp"
 #include "obs/health/report.hpp"
-#include "obs/health/sample_log.hpp"
 #include "obs/metrics.hpp"
 
 namespace swiftest::obs {
@@ -57,7 +55,6 @@ ShardTelemetry make_shard(std::size_t shard) {
   t.transit_peak_live = 48;
   t.calendar_sweeps = 7;
   t.trace_dropped = 3;
-  t.health_dropped = 2;
   t.sample_degradations = 1;
   return t;
 }
@@ -88,7 +85,6 @@ TEST(ResourceMonitor, ShardTelemetryAggregates) {
   EXPECT_EQ(find("obs.slab_slots"), "64");
   EXPECT_EQ(find("obs.transit_peak_live"), "96");
   EXPECT_EQ(find("obs.calendar_sweeps"), "14");
-  EXPECT_EQ(find("obs.health_dropped"), "4");
   EXPECT_EQ(find("obs.sample_degradations"), "2");
   EXPECT_NE(find("obs.peak_rss_mb"), "<missing>");
 }
@@ -126,50 +122,6 @@ TEST(ResourceMonitor, PeakRssTracksSamples) {
   monitor.begin_run(1);
   const ResourceUsage usage = monitor.sample_usage();
   EXPECT_GE(monitor.peak_rss_mb(), usage.rss_mb);
-}
-
-// ---------------------------------------------------------------------------
-// SampleLog bounds (obs/health/sample_log.hpp): drop-newest with accounting.
-
-TEST(SampleLogBounds, DropsNewestPastCapacityAndCounts) {
-  health::SampleLog log(4);
-  EXPECT_EQ(log.capacity(), 4u);
-  for (int i = 0; i < 10; ++i) {
-    health::TestSample sample;
-    sample.duration_s = static_cast<double>(i);
-    log.record_test(sample);
-  }
-  // The buffered prefix is exactly what an unbounded log would replay first.
-  EXPECT_EQ(log.sample_count(), 4u);
-  EXPECT_EQ(log.dropped(), 6u);
-
-  // Arrivals are bounded independently with the same policy.
-  for (int i = 0; i < 6; ++i) log.note_arrival(static_cast<double>(i));
-  EXPECT_EQ(log.arrival_times().size(), 4u);
-  EXPECT_EQ(log.arrival_times().front(), 0.0);
-  EXPECT_EQ(log.dropped(), 8u);
-}
-
-TEST(SampleLogBounds, ZeroCapacityClampsToOne) {
-  health::SampleLog log(0);
-  EXPECT_EQ(log.capacity(), 1u);
-  log.note_arrival(1.0);
-  log.note_arrival(2.0);
-  EXPECT_EQ(log.arrival_times().size(), 1u);
-  EXPECT_EQ(log.dropped(), 1u);
-}
-
-TEST(SampleLogBounds, ApproxBytesScalesWithUse) {
-  health::SampleLog log(1u << 10);
-  const std::uint64_t empty = log.approx_bytes();
-  for (int i = 0; i < 512; ++i) log.note_arrival(static_cast<double>(i));
-  EXPECT_GT(log.approx_bytes(), empty);
-}
-
-TEST(SampleLogBounds, DefaultCapacityIsBounded) {
-  // The default is a hard ceiling (4M entries), not "unbounded": fleet-scale
-  // days degrade by dropping + counting, never by OOM.
-  EXPECT_EQ(health::SampleLog::kDefaultCapacity, 1u << 22);
 }
 
 }  // namespace

@@ -77,6 +77,36 @@ TEST(Cli, TestRejectsUnknownTech) {
   EXPECT_EQ(run({"test", "--rate", "80", "--tech", "6g"}, output), 2);
 }
 
+// Every numeric flag consumes its whole token, must be finite, and must sit
+// in its flag's range; anything else is a usage error naming the flag, caught
+// before any simulation starts (an infinite rate or a wrapped --servers -1
+// would otherwise run without end, and a negative count would reach a vector
+// size).
+TEST(Cli, RejectsOutOfRangeNumericFlags) {
+  const std::string csv = testing::TempDir() + "/cli_rejected.csv";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"test", "--rate", "inf"}, "--rate"},
+      {{"test", "--rate", "0"}, "--rate"},
+      {{"test", "--rate", "-5"}, "--rate"},
+      {{"test", "--rate", "nan"}, "--rate"},
+      {{"test", "--rate", "12abc"}, "--rate"},
+      {{"test", "--rate", "50", "--seed", "1.5"}, "--seed"},
+      {{"fleet", "--servers", "-1"}, "--servers"},
+      {{"fleet", "--days", "-1"}, "--days"},
+      {{"fleet", "--tests-per-day", "1e400"}, "--tests-per-day"},
+      {{"fleet", "--obs-budget-mb", "-3"}, "--obs-budget-mb"},
+      {{"campaign", "--tests", "-1", "--out", csv}, "--tests"},
+      {{"campaign", "--tests", "10", "--year", "1999", "--out", csv}, "--year"},
+      {{"plan", "--tests-per-day", "-inf"}, "--tests-per-day"},
+      {{"obs", "diff", "a.jsonl", "b.jsonl", "--tolerance", "-1"}, "--tolerance"},
+  };
+  for (const auto& [args, flag] : cases) {
+    std::string output;
+    EXPECT_EQ(run(args, output), 2) << args[0] << " " << flag << ": " << output;
+    EXPECT_EQ(output.rfind(flag + " must be", 0), 0u) << output;
+  }
+}
+
 TEST(Cli, PlanProducesAPurchase) {
   std::string output;
   ASSERT_EQ(run({"plan", "--tests-per-day", "10000"}, output), 0);
@@ -447,6 +477,27 @@ TEST(Cli, FleetRunMatchesGoldensAtAnyPartition) {
     for (int i = 0; i < 3 && std::getline(lines, line); ++i) summary += line + "\n";
     EXPECT_EQ(summary, slurp(golden_dir + "/fleet_day_stdout.txt")) << tag;
   }
+}
+
+// The analytic backend's health report and summary, pinned the same way: its
+// per-test closed-form samples and busy-window utilization must survive any
+// refactor of how the run feeds the monitor.
+TEST(Cli, AnalyticFleetMatchesGoldens) {
+  const std::string golden_dir = SWIFTEST_GOLDEN_DIR;
+  const std::string health_path = testing::TempDir() + "/cli_analytic_health.json";
+  std::string output;
+  ASSERT_EQ(run({"fleet", "--servers", "5", "--days", "1", "--tests-per-day", "500",
+                 "--seed", "7", "--chunk", "64", "--jobs", "2", "--health-out",
+                 health_path},
+                output),
+            0);
+  EXPECT_EQ(slurp(health_path), slurp(golden_dir + "/fleet_analytic_health.json"));
+
+  std::istringstream lines(output);
+  std::string line;
+  std::string summary;
+  for (int i = 0; i < 3 && std::getline(lines, line); ++i) summary += line + "\n";
+  EXPECT_EQ(summary, slurp(golden_dir + "/fleet_analytic_stdout.txt"));
 }
 
 // The wire client against its private per-run servers (test --wire): the

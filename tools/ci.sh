@@ -486,9 +486,11 @@ PYEOF
 
 # ThreadSanitizer job: build the CLI under -fsanitize=thread and run a
 # chunked packet fleet-day on the real worker pool (--chunk 64 --jobs 4).
-# Chunk workers share nothing but the partitioned workload, the atomic claim
-# cursor, and the join-then-merge handoff, so a TSan-clean run certifies the
-# substrate's isolation contract; any cross-worker data race fails CI here.
+# Chunk workers share nothing but the partitioned workload, the per-test
+# health outcome slots (disjoint index ranges, read only after the join),
+# the atomic claim cursor, and the join-then-merge handoff, so a TSan-clean
+# run certifies the substrate's isolation contract; any cross-worker data
+# race fails CI here. Both runs keep health, and their reports must match.
 # The RunTasksHostprof gtest suite rides the same build: it drives the pool
 # with a live profiler (the reserve-before-spawn / read-after-join contract,
 # DESIGN.md §13), including 4096 near-empty tasks on 8 workers that keep the
@@ -506,10 +508,15 @@ run_tsan_fleet() {
     --gtest_filter='RunTasksHostprof.*'
   echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, profiled) ==="
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
-    --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4
+    --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4 \
+    --health-out "${REPO_ROOT}/${build_dir}/health-tsan.json"
   "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4 \
+    --health-out "${REPO_ROOT}/${build_dir}/health-tsan-prof.json" \
     --prof-out "${REPO_ROOT}/${build_dir}/prof-tsan.jsonl"
+  cmp "${REPO_ROOT}/${build_dir}/health-tsan.json" \
+      "${REPO_ROOT}/${build_dir}/health-tsan-prof.json" \
+    || { echo "TSan fleet-day health differs between runs" >&2; return 1; }
   echo "TSan chunked fleet-day clean"
 }
 

@@ -1,15 +1,20 @@
 #include "cli.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -138,6 +143,9 @@ const std::string kUsage = std::string(
     "  --slo FILE              evaluate an SLO spec (JSON); any violation makes\n"
     "                          the process exit 3\n";
 
+/// Largest accepted --seed: seeds parse as a signed long.
+constexpr long kMaxSeed = std::numeric_limits<long>::max();
+
 /// Minimal --key value parser; flags without values map to "true".
 class Options {
  public:
@@ -164,13 +172,30 @@ class Options {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const {
+  /// The numeric value of --key, or `fallback` when the flag is absent. The
+  /// whole token must parse as a T (long: decimal digits with an optional
+  /// '-'), be finite, and lie in [lo, hi]; otherwise prints why, naming the
+  /// flag and appending `note`, and returns nullopt — a usage error.
+  template <typename T>
+  [[nodiscard]] std::optional<T> get_number(const std::string& key, T fallback,
+                                            T lo, T hi, std::ostream& out,
+                                            std::string_view note = {}) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stol(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, value);
+    if (parsed.ec == std::errc{} && parsed.ptr == end &&
+        std::isfinite(static_cast<double>(value)) && value >= lo && value <= hi) {
+      return value;
+    }
+    out << "--" << key << " must be "
+        << (std::is_integral_v<T> ? "an integer" : "a finite number") << " >= "
+        << lo;
+    if (hi < std::numeric_limits<T>::max()) out << " and <= " << hi;
+    out << " (got '" << text << "')" << note << "\n";
+    return std::nullopt;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.find(key) != values_.end();
@@ -488,11 +513,16 @@ int cmd_campaign(const Options& options, std::ostream& out) {
     out << "campaign requires --tests and --out\n";
     return 2;
   }
-  const auto tests = static_cast<std::size_t>(options.get_int("tests", 0));
-  const int year = static_cast<int>(options.get_int("year", 2021));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto tests = options.get_number<long>("tests", 0, 1, 10'000'000, out);
+  // The generator models the paper's two measurement years.
+  const auto year = options.get_number<long>("year", 2021, 2020, 2021, out);
+  const auto seed = options.get_number<long>("seed", 1, 0, kMaxSeed, out);
+  if (!tests || !year || !seed) return 2;
   const std::string path = options.get("out", "");
-  const auto records = dataset::generate_campaign(tests, year, seed);
+  const auto records =
+      dataset::generate_campaign(static_cast<std::size_t>(*tests),
+                                 static_cast<int>(*year),
+                                 static_cast<std::uint64_t>(*seed));
   dataset::write_csv_file(path, records);
   out << "wrote " << records.size() << " records to " << path << "\n";
   return 0;
@@ -514,7 +544,9 @@ int cmd_test(const Options& options, std::ostream& out) {
     out << "test requires --rate\n";
     return 2;
   }
-  const double rate = options.get_double("rate", 100.0);
+  const auto rate = options.get_number("rate", 100.0, 0.1, 10'000.0, out);
+  const auto seed = options.get_number<long>("seed", 42, 0, kMaxSeed, out);
+  if (!rate || !seed) return 2;
   const auto tech = parse_tech(options.get("tech", "5g"));
   if (!tech) {
     out << "unknown --tech\n";
@@ -531,7 +563,7 @@ int cmd_test(const Options& options, std::ostream& out) {
     manifest.config = {
         {"tech", options.get("tech", "5g")},
         {"rate_mbps", options.get("rate", "")},
-        {"seed", std::to_string(options.get_int("seed", 42))},
+        {"seed", std::to_string(*seed)},
         {"wire", options.has("wire") ? "true" : "false"},
     };
   }
@@ -540,9 +572,8 @@ int cmd_test(const Options& options, std::ostream& out) {
     hostprof = std::make_unique<obs::hostprof::HostProfiler>();
   }
   netsim::ScenarioConfig net;
-  net.access_rate = core::Bandwidth::mbps(rate);
-  netsim::Scenario scenario(net,
-                            static_cast<std::uint64_t>(options.get_int("seed", 42)));
+  net.access_rate = core::Bandwidth::mbps(*rate);
+  netsim::Scenario scenario(net, static_cast<std::uint64_t>(*seed));
   scenario.scheduler().set_obs(hub.get());
   swift::ModelRegistry registry;
   if (options.has("models")) {
@@ -562,7 +593,7 @@ int cmd_test(const Options& options, std::ostream& out) {
       result = client.run(scenario);
     }
   }
-  out << "estimate: " << result.bandwidth_mbps << " Mbps (truth " << rate << ")\n"
+  out << "estimate: " << result.bandwidth_mbps << " Mbps (truth " << *rate << ")\n"
       << "probe time: " << core::to_seconds(result.probe_duration) << " s; data: "
       << core::to_string(result.data_used) << "; servers: " << result.connections_used
       << "\n";
@@ -583,7 +614,7 @@ int cmd_test(const Options& options, std::ostream& out) {
     obs::health::TestSample sample;
     sample.duration_s = core::to_seconds(result.total_duration());
     sample.data_mb = result.data_used.megabytes();
-    sample.deviation = bts::deviation(result.bandwidth_mbps, rate);
+    sample.deviation = bts::deviation(result.bandwidth_mbps, *rate);
     const std::string dims[] = {dataset::dimension_key(*tech)};
     sample.dimensions = dims;
     health.note_arrival(0.0);
@@ -593,7 +624,7 @@ int cmd_test(const Options& options, std::ostream& out) {
         {"command", "test"},
         {"tech", options.get("tech", "5g")},
         {"rate_mbps", options.get("rate", "")},
-        {"seed", std::to_string(options.get_int("seed", 42))},
+        {"seed", std::to_string(*seed)},
     };
     health_rc = flush_health(options, out, &health, meta, mf);
   }
@@ -641,12 +672,14 @@ int cmd_fit(const Options& options, std::ostream& out) {
 }
 
 int cmd_plan(const Options& options, std::ostream& out) {
-  const double tests_per_day = options.get_double("tests-per-day", 10'000.0);
+  const auto tests_per_day =
+      options.get_number("tests-per-day", 10'000.0, 0.0, 1e8, out);
+  if (!tests_per_day) return 2;
   const auto records = dataset::generate_campaign(60'000, 2021, 7);
   deploy::WorkloadParams params;
-  params.tests_per_day = tests_per_day;
+  params.tests_per_day = *tests_per_day;
   const auto workload = deploy::estimate_workload(records, params);
-  out << "demand: " << workload.demand_mbps << " Mbps (" << tests_per_day
+  out << "demand: " << workload.demand_mbps << " Mbps (" << *tests_per_day
       << " tests/day)\n";
   const auto catalog = deploy::synthetic_catalog();
   if (options.has("regional")) {
@@ -725,39 +758,25 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   cfg.obs = hub.get();
   cfg.health = health.get();
   cfg.hostprof = hostprof.get();
-  cfg.server_count = static_cast<std::size_t>(options.get_int("servers", 20));
-  cfg.days = static_cast<int>(options.get_int("days", 3));
-  cfg.tests_per_day = options.get_double("tests-per-day", 10'000.0);
-  cfg.seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
-  // Strict manual parses: std::stol would throw (or silently truncate) on
-  // garbage, and these flags gate a thread pool — fail loudly instead.
-  const auto parse_count = [&](const char* flag, long fallback,
-                               long minimum) -> std::optional<long> {
-    if (!options.has(flag)) return fallback;
-    const std::string text = options.get(flag, "");
-    long value = 0;
-    bool ok = !text.empty();
-    for (const char c : text) {
-      if (c < '0' || c > '9' || value > 1'000'000) {
-        ok = false;
-        break;
-      }
-      value = value * 10 + (c - '0');
-    }
-    if (!ok || value < minimum) {
-      out << "--" << flag << " must be an integer >= " << minimum
-          << " (got '" << text << "')"
-          << (minimum == 0 ? "; 0 means the hardware concurrency" : "")
-          << "\n";
-      return std::nullopt;
-    }
-    return value;
-  };
+  const auto servers = options.get_number<long>("servers", 20, 1, 10'000, out);
+  const auto days = options.get_number<long>("days", 3, 1, 366, out);
+  const auto tests_per_day =
+      options.get_number("tests-per-day", 10'000.0, 0.0, 1e7, out);
+  const auto seed = options.get_number<long>("seed", 99, 0, kMaxSeed, out);
   // --jobs 0 = hardware concurrency (resolved inside simulate_fleet).
-  const auto jobs = parse_count("jobs", 1, 0);
-  if (!jobs) return 2;
-  const auto chunk = parse_count("chunk", 0, 1);
-  if (!chunk) return 2;
+  const auto jobs = options.get_number<long>(
+      "jobs", 1, 0, 256, out, "; 0 means the hardware concurrency");
+  const auto chunk = options.get_number<long>("chunk", 0, 1, 1'000'000, out);
+  const auto budget_mb =
+      options.get_number<long>("obs-budget-mb", 0, 0, 1'048'576, out);
+  if (!servers || !days || !tests_per_day || !seed || !jobs || !chunk ||
+      !budget_mb) {
+    return 2;
+  }
+  cfg.server_count = static_cast<std::size_t>(*servers);
+  cfg.days = static_cast<int>(*days);
+  cfg.tests_per_day = *tests_per_day;
+  cfg.seed = static_cast<std::uint64_t>(*seed);
   cfg.jobs = static_cast<std::size_t>(*jobs);
   cfg.chunk = static_cast<std::size_t>(*chunk);
   const std::string backend = options.get("backend", "analytic");
@@ -776,12 +795,7 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     cfg.sample = *policy;
   }
-  const long budget_mb = options.get_int("obs-budget-mb", 0);
-  if (budget_mb < 0) {
-    out << "--obs-budget-mb must be >= 0\n";
-    return 2;
-  }
-  cfg.obs_budget_mb = static_cast<std::uint64_t>(budget_mb);
+  cfg.obs_budget_mb = static_cast<std::uint64_t>(*budget_mb);
   cfg.obs_spill_dir = options.get("obs-spill-dir", "");
 
   const std::string manifest_path = resolve_fleet_manifest_path(options);
@@ -843,7 +857,6 @@ int cmd_fleet(const Options& options, std::ostream& out) {
   if (mf != nullptr) {
     manifest.bench = {
         {"tests_simulated", static_cast<double>(result.tests_simulated)},
-        {"tests_dropped", static_cast<double>(result.tests_dropped)},
         {"util_median_pct", result.summary.median},
         {"util_mean_pct", result.summary.mean},
         {"util_p99_pct", result.p99},
@@ -885,14 +898,10 @@ int cmd_fleet(const Options& options, std::ostream& out) {
     }
     out << "fleet " << cfg.server_count << " x 100 Mbps over " << cfg.days
         << " day(s), " << result.tests_simulated << " tests (" << backend
-        << " backend"
         // Neither the chunk size nor the job count shapes the result, so
         // neither appears here: stdout stays byte-identical across the whole
         // {chunk, jobs} matrix (and byte-compatible with unsharded runs).
-        << (result.tests_dropped > 0
-                ? ", " + std::to_string(result.tests_dropped) + " dropped"
-                : "")
-        << ")\n"
+        << " backend)\n"
         << "utilization: median " << result.summary.median << "%, mean "
         << result.summary.mean << "%, p99 " << result.p99 << "%, max "
         << result.summary.max << "%\n"
@@ -1039,6 +1048,10 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
   const auto options = Options::parse(args.subspan(3), out);
   if (!options) return 2;
   if (!apply_log_level(*options, out)) return 2;
+  obs::diff::DiffOptions diff_options;
+  const auto tolerance = options->get_number(
+      "tolerance", diff_options.rel_tolerance, 0.0, 1e6, out);
+  if (!tolerance) return 2;
 
   std::string error;
   const auto manifest_a = obs::manifest::load_manifest_file(path_a, &error);
@@ -1052,10 +1065,8 @@ int cmd_obs(std::span<const std::string> args, std::ostream& out) {
     return 1;
   }
 
-  obs::diff::DiffOptions diff_options;
   diff_options.expect_identical = options->has("expect-identical");
-  diff_options.rel_tolerance =
-      options->get_double("tolerance", diff_options.rel_tolerance);
+  diff_options.rel_tolerance = *tolerance;
   diff_options.load_artifacts = !options->has("no-artifacts");
   const obs::diff::DiffReport report =
       obs::diff::diff_runs(*manifest_a, *manifest_b, diff_options, path_a, path_b);
