@@ -2,9 +2,11 @@
 // packet fleet-day (DESIGN.md §12). Two runs of the same workload — full
 // retention and 1/8 deterministic sampling — report the deterministic record
 // counts side by side, so the baseline gate pins the volume sampling removes
-// (retained and dropped trace events, spans, suppressed server sessions).
+// (retained and dropped trace events, spans) and that no kept server session
+// is an orphan root.
 // Host-time cost is perfbench's job (`fleet_observed` vs `fleet_day`).
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "bench_util.hpp"
@@ -23,7 +25,7 @@ struct ObsOutcome {
   std::uint64_t trace_retained = 0;
   std::uint64_t trace_dropped = 0;
   std::uint64_t spans = 0;
-  std::uint64_t span_suppressed = 0;
+  std::uint64_t root_sessions = 0;  // server.session spans with no parent
   std::uint64_t tests_sampled = 0;
 };
 
@@ -49,7 +51,11 @@ ObsOutcome run_fleet_day(std::span<const dataset::TestRecord> population,
   outcome.trace_retained = hub.tracer.size();
   outcome.trace_dropped = hub.tracer.dropped();
   outcome.spans = hub.spans.size();
-  outcome.span_suppressed = hub.spans.suppressed();
+  for (const obs::span::SpanRecord& r : hub.spans.spans()) {
+    if (r.parent == obs::span::kNoSpan && std::strcmp(r.name, "server.session") == 0) {
+      ++outcome.root_sessions;
+    }
+  }
   const auto counters = hub.metrics.snapshot().counters;
   if (const auto it = counters.find("fleet.tests_sampled"); it != counters.end()) {
     outcome.tests_sampled = it->second;
@@ -62,7 +68,7 @@ void print_row(const char* mode, const ObsOutcome& o) {
               static_cast<unsigned long long>(o.trace_retained),
               static_cast<unsigned long long>(o.trace_dropped),
               static_cast<unsigned long long>(o.spans),
-              static_cast<unsigned long long>(o.span_suppressed));
+              static_cast<unsigned long long>(o.root_sessions));
 }
 
 }  // namespace
@@ -81,12 +87,14 @@ int main(int argc, char** argv) {
   const ObsOutcome sampled = run_fleet_day(population, registry, 8);
 
   std::printf("  %-6s %-11s %-11s %-8s %s\n", "mode", "trace_kept", "trace_drop",
-              "spans", "suppressed");
+              "spans", "root_sessions");
   print_row("full", full);
   print_row("1/8", sampled);
 
-  // Deterministic volumes: gated at 5% by the baseline compare, so a change
-  // to what instrumentation emits (or what sampling suppresses) is visible.
+  // Deterministic volumes, compared exactly (tolerance 0) against the
+  // committed baseline, so a change to what instrumentation emits (or what
+  // sampling keeps) is visible. Root sessions must stay 0: an unsampled
+  // test's server sessions are never begun, and a kept one joins its test.
   benchutil::report_value("tests_simulated", static_cast<double>(full.tests));
   benchutil::report_value("full_trace_retained", static_cast<double>(full.trace_retained));
   benchutil::report_value("full_trace_dropped", static_cast<double>(full.trace_dropped));
@@ -96,8 +104,8 @@ int main(int argc, char** argv) {
   benchutil::report_value("sampled_trace_dropped",
                           static_cast<double>(sampled.trace_dropped));
   benchutil::report_value("sampled_spans", static_cast<double>(sampled.spans));
-  benchutil::report_value("sampled_span_suppressed",
-                          static_cast<double>(sampled.span_suppressed));
+  benchutil::report_value("sampled_root_sessions",
+                          static_cast<double>(sampled.root_sessions));
   benchutil::report_value("sampled_tests", static_cast<double>(sampled.tests_sampled));
   return benchutil::report_flush();
 }

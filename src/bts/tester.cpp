@@ -13,42 +13,48 @@ double deviation(double result_mbps, double reference_mbps) {
 
 TestSpanScope::TestSpanScope(netsim::ClientContext& client, const char* test_name)
     : client_(client) {
-  auto& sctx = client_.spans();
-  test_ = sctx.begin(obs::Category::kProtocol, test_name);
-  sctx.push(test_);
+  netsim::Scheduler& sched = client_.scheduler();
+  if (auto* spans = sched.spans()) {
+    test_ = spans->begin(sched.now(), obs::Category::kProtocol, test_name);
+  }
 }
 
 netsim::ServerChoice TestSpanScope::run_selection(BtsResult& result,
                                                   std::size_t candidates,
                                                   std::size_t concurrency) {
-  auto& sctx = client_.spans();
+  netsim::Scheduler& sched = client_.scheduler();
+  obs::span::SpanStore* spans = sched.spans();
   const obs::span::SpanId span_select =
-      sctx.begin(obs::Category::kProtocol, "bts.select_server");
+      spans != nullptr ? spans->begin(sched.now(), obs::Category::kProtocol,
+                                      "bts.select_server", test_)
+                       : obs::span::kNoSpan;
   const netsim::ServerChoice sel = client_.select_server(candidates, concurrency);
   result.ping_duration = sel.elapsed;
-  auto& sched = client_.scheduler();
   sched.run_until(sched.now() + sel.elapsed);
-  sctx.end(span_select);
+  if (spans != nullptr) spans->end(span_select, sched.now());
   return sel;
 }
 
 void TestSpanScope::begin_probe() {
-  probe_ = client_.spans().begin(obs::Category::kProtocol, "bts.probe");
+  netsim::Scheduler& sched = client_.scheduler();
+  if (auto* spans = sched.spans()) {
+    probe_ = spans->begin(sched.now(), obs::Category::kProtocol, "bts.probe", test_);
+  }
 }
 
 void TestSpanScope::end_probe() {
-  client_.spans().end(probe_);
+  netsim::Scheduler& sched = client_.scheduler();
+  if (auto* spans = sched.spans()) spans->end(probe_, sched.now());
   probe_ = obs::span::kNoSpan;
 }
 
 void TestSpanScope::finish(const BtsResult& result, std::size_t connections) {
-  auto& sctx = client_.spans();
-  if (auto* spans = sctx.store()) {
+  netsim::Scheduler& sched = client_.scheduler();
+  if (auto* spans = sched.spans()) {
     spans->attr_f64(test_, "estimate_mbps", result.bandwidth_mbps);
     spans->attr_u64(test_, "connections", connections);
+    spans->end(test_, sched.now());
   }
-  sctx.pop(test_);
-  sctx.end(test_);
 }
 
 }  // namespace swiftest::bts

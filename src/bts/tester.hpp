@@ -56,10 +56,10 @@ class BandwidthTester {
 [[nodiscard]] double deviation(double result_mbps, double reference_mbps);
 
 /// Shared observability wiring for one tester run: the wrapper span a BTS
-/// pushes around its whole test ("<name>.test"), the "bts.select_server"
-/// stage span, the "bts.probe" stage span, and the closing
-/// estimate/connections attributes. One implementation instead of a copy in
-/// every tester, so all testers emit structurally identical span trees.
+/// opens around its whole test ("<name>.test"), the "bts.select_server" and
+/// "bts.probe" stage spans under it, and the closing estimate/connections
+/// attributes. One implementation instead of a copy in every tester, so all
+/// testers emit structurally identical span trees.
 ///
 /// Usage mirrors a test's phases:
 ///   TestSpanScope scope(client, "fast.test");
@@ -72,8 +72,7 @@ class BandwidthTester {
 ///   scope.finish(result, connections.size());
 class TestSpanScope {
  public:
-  /// Opens the wrapper span and pushes it as the ambient parent, so every
-  /// span the test produces nests under it.
+  /// Opens the wrapper span; every stage span below is its child.
   TestSpanScope(netsim::ClientContext& client, const char* test_name);
 
   /// Runs the PING/server-selection stage (ClientContext::select_server)
@@ -87,8 +86,8 @@ class TestSpanScope {
   void begin_probe();
   void end_probe();
 
-  /// Attaches the closing attributes (estimate_mbps, connections), pops the
-  /// ambient parent, and ends the wrapper span. Call exactly once, last.
+  /// Attaches the closing attributes (estimate_mbps, connections) and ends
+  /// the wrapper span. Call exactly once, last.
   void finish(const BtsResult& result, std::size_t connections);
 
  private:

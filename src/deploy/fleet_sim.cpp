@@ -312,17 +312,15 @@ struct Chunk {
 };
 
 /// Gives chunk `c` its hub, shaped by the caller's capacities, with the
-/// run's category mask and spill sinks. Span begin/end mirror into metrics
-/// only: span ids are store-local and partition-dependent, and the tracer
-/// mirror would leak them into the merged trace. Sampled mode refuses the
-/// server sessions of unsampled packet tests (DESIGN.md §12).
+/// run's category mask (set here once; a packet test's sampling decision is
+/// its scheduler's detail switch) and spill sinks. Span begin/end mirror
+/// into metrics only: span ids are store-local and partition-dependent, and
+/// the tracer mirror would leak them into the merged trace.
 void make_chunk_hub(Chunk& out, std::size_t c, const FleetSimConfig& config,
-                    std::size_t trace_capacity, std::size_t span_capacity,
-                    bool sampled_mode) {
+                    std::size_t trace_capacity, std::size_t span_capacity) {
   out.hub = std::make_unique<obs::Hub>(trace_capacity, span_capacity);
   out.hub->tracer.set_category_mask(config.obs->tracer.category_mask());
   out.hub->spans.set_sinks(nullptr, &out.hub->metrics);
-  out.hub->spans.set_sampled_mode(sampled_mode);
   out.spill.attach(*out.hub, config.obs_spill_dir, c);
 }
 
@@ -423,34 +421,51 @@ void run_analytic_chunk(std::span<const Arrival> arrivals,
   if (out.hub != nullptr) out.metric_snaps.push_back(out.hub->metrics.snapshot());
 }
 
-/// The closed-form load accounting, over the full workload in draw order.
-/// One serial pass — the bit-exact historical accumulation order, so the
-/// result is a pure function of (config, seed) with no partition anywhere
-/// in sight. Cheaper in total work than the per-shard scans it replaces:
-/// those walked the whole period once per shard.
-struct AnalyticLoad {
-  std::vector<double> window_load;  // [window * server_count + server]
-  std::vector<double> second_load;  // requested fleet load per second
-};
-
-AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
-                                   const FleetSimConfig& config) {
-  AnalyticLoad out;
+/// The closed-form load accounting, over the full workload in draw order:
+/// one serial pass in the historical accumulation order, so the result is a
+/// pure function of (config, seed) with no partition in sight. Windows
+/// complete in time order, so only the current window's per-server load sums
+/// are held: whenever the window index moves on (idle jumps included) the
+/// finished window's busy servers are flushed, server-minor, into the
+/// result's busy windows and the egress health. Returns the seconds in which
+/// the requested fleet load exceeded the fleet's capacity.
+std::uint64_t sweep_analytic_load(std::span<const Arrival> arrivals,
+                                  const FleetSimConfig& config,
+                                  FleetSimResult& result) {
   const std::int64_t total_seconds =
       static_cast<std::int64_t>(config.days) * 24 * 3600;
   const std::int64_t windows_total =
       config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
-  out.window_load.assign(
-      static_cast<std::size_t>(windows_total) * config.server_count, 0.0);
-  out.second_load.assign(static_cast<std::size_t>(total_seconds), 0.0);
+  const double fleet_capacity =
+      config.server_uplink_mbps * static_cast<double>(config.server_count);
+
+  std::vector<double> window_load(config.server_count, 0.0);
+  std::int64_t window = -1;  // the window window_load sums; -1 = none yet
+  const auto flush_window = [&] {
+    if (window < 0) return;
+    // Busy windows only, matching Fig 26's utilization distribution.
+    for (std::size_t s = 0; s < config.server_count; ++s) {
+      const double util = 100.0 * window_load[s] /
+                          static_cast<double>(config.window_seconds) /
+                          config.server_uplink_mbps;
+      window_load[s] = 0.0;
+      if (util > 0.0) {
+        result.busy_window_utilization.push_back(util);
+        if (config.health != nullptr) {
+          config.health->record_egress_utilization(s, util);
+        }
+      }
+    }
+  };
 
   std::vector<std::vector<std::pair<int, double>>> active(config.server_count);
   std::size_t active_entries = 0;
   std::size_t next_arrival = 0;
+  std::uint64_t overload_seconds = 0;
   for (std::int64_t second = 0; second < total_seconds; ++second) {
     if (active_entries == 0) {
-      // Idle: nothing contributes load until the next arrival, and zero
-      // seconds are already materialized, so jump straight there.
+      // Idle: nothing contributes load until the next arrival, so jump
+      // straight there.
       if (next_arrival >= arrivals.size()) break;
       if (arrivals[next_arrival].second > second) {
         second = arrivals[next_arrival].second;
@@ -468,6 +483,10 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
     }
     const std::int64_t w =
         config.window_seconds > 0 ? second / config.window_seconds : windows_total;
+    if (w < windows_total && w != window) {
+      flush_window();
+      window = w;
+    }
     double second_total = 0.0;
     for (std::size_t s = 0; s < config.server_count; ++s) {
       double load = 0.0;
@@ -478,60 +497,38 @@ AnalyticLoad compute_analytic_load(std::span<const Arrival> arrivals,
       const std::size_t before = active[s].size();
       std::erase_if(active[s], [](const auto& e) { return e.first <= 0; });
       active_entries -= before - active[s].size();
-      if (load > 0.0 && w < windows_total) {
-        out.window_load[static_cast<std::size_t>(w) * config.server_count + s] +=
-            load;
-      }
+      if (load > 0.0 && w < windows_total) window_load[s] += load;
       second_total += load;
     }
-    out.second_load[static_cast<std::size_t>(second)] = second_total;
+    if (second_total > fleet_capacity) ++overload_seconds;
   }
-  return out;
+  flush_window();
+  return overload_seconds;
 }
 
-FleetSimResult merge_analytic(std::vector<Chunk>& chunks, const AnalyticLoad& load,
+FleetSimResult merge_analytic(std::vector<Chunk>& chunks,
                               std::span<const Arrival> workload,
                               const FleetSimConfig& config) {
   FleetSimResult result;
-  const std::int64_t total_seconds =
-      static_cast<std::int64_t>(config.days) * 24 * 3600;
-  const std::int64_t windows_total =
-      config.window_seconds > 0 ? total_seconds / config.window_seconds : 0;
-  const double fleet_capacity =
-      config.server_uplink_mbps * static_cast<double>(config.server_count);
-
   for (const Chunk& chunk : chunks) result.tests_simulated += chunk.tests_simulated;
-
-  std::uint64_t overload_seconds = 0;
-  for (double second : load.second_load) {
-    if (second > fleet_capacity) ++overload_seconds;
-  }
 
   if (config.obs != nullptr && !chunks.empty() && chunks[0].hub != nullptr) {
     merge_chunk_obs(chunks, config, {}, result);
   }
   fold_health(workload, config, analytic_outcome);
 
-  // Busy windows in the historical emission order: window-major, then server.
-  for (std::int64_t w = 0; w < windows_total; ++w) {
-    for (std::size_t s = 0; s < config.server_count; ++s) {
-      const double window_sum =
-          load.window_load[static_cast<std::size_t>(w) * config.server_count + s];
-      const double util = 100.0 * window_sum /
-                          static_cast<double>(config.window_seconds) /
-                          config.server_uplink_mbps;
-      if (util > 0.0) {
-        result.busy_window_utilization.push_back(util);
-        // Busy windows only, matching Fig 26's utilization distribution.
-        if (config.health != nullptr) {
-          config.health->record_egress_utilization(s, util);
-        }
-      }
-    }
+  std::uint64_t overload_seconds = 0;
+  {
+    // Floating-point sums are order-sensitive, so this is the one place the
+    // load numbers accumulate: the historical order, bit-identical for
+    // every (chunk, jobs).
+    const obs::hostprof::HostScope scope(
+        config.hostprof != nullptr ? &config.hostprof->main() : nullptr,
+        "replay.numeric");
+    overload_seconds = sweep_analytic_load(workload, config, result);
   }
-
   finish_result(result, overload_seconds,
-                static_cast<std::uint64_t>(total_seconds));
+                static_cast<std::uint64_t>(config.days) * 24 * 3600);
   return result;
 }
 
@@ -559,24 +556,18 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
       tb_cfg, core::stream_seed(config.seed ^ kTestbedSeedSalt, a.test_id));
   netsim::Scheduler& sched = testbed.scheduler();
   // The test records straight into its chunk's hub, so the chunk's spill
-  // sink sees trace overflow as it happens. An unsampled test records no
-  // trace events at all: with the mask cleared every instrumentation site
-  // sees a null tracer. Its metrics still count.
-  if (out.hub != nullptr) {
-    out.hub->tracer.set_category_mask(
-        sampled_test ? config.obs->tracer.category_mask() : 0);
-  }
-  sched.set_obs(out.hub.get());
+  // sink sees trace overflow as it happens. Whole-test sampling is keyed on
+  // the global draw index, so the decision is identical for every chunk
+  // size and jobs value. An unsampled test runs with detail off: every
+  // instrumentation site sees a null tracer and a null span store, so it
+  // records no trace event and no span (its client's and its servers'
+  // alike), while its metrics still count.
+  sched.set_obs(out.hub.get(), sampled_test);
 
   swift::ServerConfig server_cfg;
   server_cfg.uplink = core::Bandwidth::mbps(config.server_uplink_mbps);
 
   netsim::ClientContext& ctx = testbed.client(0);
-  // Whole-test sampling: keyed on the global draw index, so the decision is
-  // identical for every chunk size and jobs value. Every span this test's
-  // client (or the wire protocol under it) would begin becomes a no-op when
-  // unsampled.
-  ctx.spans().set_suppressed(!sampled_test);
 
   const std::int64_t W = config.window_seconds;
   const core::SimTime start = a.second * core::seconds(1);
@@ -640,19 +631,17 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
     wire = std::make_unique<swift::WireClient>(wc_cfg, registry, server_cfg);
     wire->attach_fleet(*fleet);
     wire->set_forced_server(a.first_server);
-    auto& sctx = ctx.spans();
-    test_span = sctx.begin(obs::Category::kFleet, "fleet.test");
-    if (auto* spans = sctx.store()) {
+    if (auto* spans = sched.spans()) {
+      test_span = spans->begin(sched.now(), obs::Category::kFleet, "fleet.test");
       spans->attr_f64(test_span, "truth_mbps", a.truth_mbps);
       spans->attr_u64(test_span, "server", a.first_server);
     }
-    sctx.push(test_span);
     wire->start(ctx, [&](const bts::BtsResult& r) {
       done = true;
       trace_fleet("fleet.test_done", a.test_id, r.bandwidth_mbps);
-      if (auto* hub = sched.obs()) {
-        hub->spans.attr_f64(test_span, "estimate_mbps", r.bandwidth_mbps);
-        hub->spans.end(test_span, sched.now());
+      if (auto* spans = sched.spans()) {
+        spans->attr_f64(test_span, "estimate_mbps", r.bandwidth_mbps);
+        spans->end(test_span, sched.now());
       }
       test_span = obs::span::kNoSpan;
       if (outcome != nullptr) {
@@ -660,8 +649,7 @@ void run_packet_test(const Arrival& a, const swift::ModelRegistry& registry,
                     r.data_used.megabytes(),
                     bts::deviation(r.bandwidth_mbps, a.truth_mbps)};
       }
-    });
-    sctx.pop(test_span);
+    }, test_span);
     if (W > 0 && window_index < windows_total) {
       sched.schedule_at((window_index + 1) * W * core::seconds(1), tick);
     }
@@ -928,8 +916,7 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
       // tests shared a chunk, making the retained spans depend on the chunk
       // size, so the store is uncapped.
       make_chunk_hub(outputs[c], c, config, config.obs->tracer.capacity(),
-                     std::numeric_limits<std::size_t>::max(),
-                     /*sampled_mode=*/sched_ptr != nullptr);
+                     std::numeric_limits<std::size_t>::max());
     } else if (sampling_active) {
       // The analytic backend emits observability only under sampling (or a
       // budget): its legacy contract is "no obs emission", and the sampled
@@ -937,11 +924,10 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
       // pins. Its chunks emit at most two events per test, so a ring of
       // 4 * chunk_size + slack never wraps (no drop-order dependence) and a
       // run of many small chunks cannot multiply the run's ring size by the
-      // chunk count. Its fleet.test spans root their trace trees explicitly,
-      // so sampled mode stays off.
+      // chunk count.
       make_chunk_hub(outputs[c], c, config,
                      std::min(config.obs->tracer.capacity(), 4 * chunk_size + 1024),
-                     config.obs->spans.capacity(), /*sampled_mode=*/false);
+                     config.obs->spans.capacity());
     }
   }
 
@@ -966,7 +952,6 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
     return result;
   }
 
-  AnalyticLoad load;
   run_tasks(
       chunk_count, jobs,
       [&](std::size_t c) {
@@ -975,16 +960,8 @@ FleetSimResult simulate_fleet(std::span<const dataset::TestRecord> population,
         });
       },
       config.hostprof);
-  {
-    // The closed-form load accounting runs once, serially, over the whole
-    // workload: floating-point sums are order-sensitive, so this is the one
-    // place the numbers are allowed to accumulate — the historical order,
-    // bit-identical for every (chunk, jobs).
-    const obs::hostprof::HostScope scope(host_tl, "replay.numeric");
-    load = compute_analytic_load(workload, config);
-  }
   const obs::hostprof::HostScope merge_scope(host_tl, "merge");
-  result = merge_analytic(outputs, load, workload, config);
+  result = merge_analytic(outputs, workload, config);
   finish_resource();
   return result;
 }

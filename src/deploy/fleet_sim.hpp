@@ -79,11 +79,12 @@ struct FleetSimConfig {
   obs::health::HealthMonitor* health = nullptr;
   /// Optional thread-aware host-time profiler (obs/hostprof/). When set, the
   /// run records per-thread phase timelines — workload.gen on the calling
-  /// thread, exec.run + per-worker chunk.run via run_tasks, then
-  /// replay.numeric (analytic) and merge.tracer / merge.metrics /
-  /// merge.spans / merge.windows (packet) / merge.canonicalize / spill.io /
-  /// merge.health — plus per-worker busy/idle/claim accounting. Host time only: a non-null
-  /// profiler never changes a single byte of the deterministic artifacts.
+  /// thread, exec.run + per-worker chunk.run via run_tasks, then merge over
+  /// merge.tracer / merge.metrics / merge.spans / merge.windows (packet) /
+  /// merge.canonicalize / spill.io / merge.health / replay.numeric
+  /// (analytic) — plus per-worker busy/idle/claim accounting. Host time
+  /// only: a non-null profiler never changes a single byte of the
+  /// deterministic artifacts.
   obs::hostprof::HostProfiler* hostprof = nullptr;
   /// Deterministic whole-test observability sampling (DESIGN.md §12). When
   /// enabled (denominator > 1) and `obs` is attached, each test's trace

@@ -178,14 +178,27 @@ class Scheduler {
   /// Attaches (or detaches, with nullptr) an observability Hub. Every
   /// component driven by this scheduler reads the Hub through here; with no
   /// Hub attached each instrumentation site is one branch on a null pointer.
-  /// The Hub must outlive the simulation.
-  void set_obs(obs::Hub* hub) noexcept { obs_ = hub; }
+  /// `detail` is the whole-test sampling switch: with it off, tracer() and
+  /// spans() return null, so the test records no trace event and no span,
+  /// while obs() still hands out the Hub for metrics. The Hub must outlive
+  /// the simulation.
+  void set_obs(obs::Hub* hub, bool detail = true) noexcept {
+    obs_ = hub;
+    tracer_ = hub != nullptr && detail ? &hub->tracer : nullptr;
+  }
   [[nodiscard]] obs::Hub* obs() const noexcept { return obs_; }
 
-  /// The attached tracer iff it retains `category` events; instrumentation
-  /// sites gate payload computation on this returning non-null.
+  /// The attached tracer iff detail is on and it retains `category` events;
+  /// instrumentation sites gate payload computation on this returning
+  /// non-null.
   [[nodiscard]] obs::Tracer* tracer(obs::Category category) const noexcept {
-    return obs_ != nullptr && obs_->tracer.wants(category) ? &obs_->tracer : nullptr;
+    return tracer_ != nullptr && tracer_->wants(category) ? tracer_ : nullptr;
+  }
+
+  /// The attached Hub's span store iff detail is on, else null. Sites open
+  /// spans at now() under an explicit parent id.
+  [[nodiscard]] obs::span::SpanStore* spans() const noexcept {
+    return tracer_ != nullptr ? &obs_->spans : nullptr;
   }
 
  private:
@@ -228,6 +241,7 @@ class Scheduler {
   PayloadArena payloads_;
   TransitPool transits_;
   obs::Hub* obs_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;  // obs_->tracer when detail is on
   ObsHandles obs_handles_;
 };
 

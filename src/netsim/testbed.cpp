@@ -46,19 +46,6 @@ ServerChoice ClientContext::select_server(std::size_t candidates,
 
 core::Rng ClientContext::fork_rng() { return owner_->rng_.fork(); }
 
-namespace {
-core::SimTime scheduler_clock(void* sched) {
-  return static_cast<const Scheduler*>(sched)->now();
-}
-}  // namespace
-
-obs::span::SpanContext& ClientContext::spans() noexcept {
-  Scheduler& sched = owner_->sched_;
-  obs::Hub* hub = sched.obs();
-  span_ctx_.bind(hub != nullptr ? &hub->spans : nullptr, &scheduler_clock, &sched);
-  return span_ctx_;
-}
-
 void ClientContext::start_cross_traffic() {
   if (cross_) cross_->start();
 }

@@ -19,7 +19,6 @@
 #include "core/rng.hpp"
 #include "core/time.hpp"
 #include "core/units.hpp"
-#include "obs/span/span.hpp"
 #include "netsim/fair_link.hpp"
 #include "netsim/link.hpp"
 #include "netsim/link_base.hpp"
@@ -116,12 +115,6 @@ class ClientContext {
   /// facade reproduces the legacy Scenario's draw order bit for bit.
   [[nodiscard]] core::Rng fork_rng();
 
-  /// This client's causal-span context (obs/span/): the ambient parent
-  /// stack a tester's stage spans nest under. Rebound to the scheduler's
-  /// Hub on every access, so a Hub attached after the testbed was built is
-  /// picked up; with no Hub every span operation is a no-op.
-  [[nodiscard]] obs::span::SpanContext& spans() noexcept;
-
   void start_cross_traffic();
   void stop_cross_traffic();
 
@@ -136,7 +129,6 @@ class ClientContext {
   std::unique_ptr<LinkBase> link_;
   std::vector<std::unique_ptr<Path>> paths_;
   std::unique_ptr<CrossTraffic> cross_;
-  obs::span::SpanContext span_ctx_;
 };
 
 /// N clients attached to one shared server fleet on one scheduler.

@@ -28,11 +28,6 @@ void SpanStore::make_room() {
 
 SpanId SpanStore::begin(core::SimTime ts, Category category, const char* name,
                         SpanId parent, std::uint64_t trace_id) {
-  if (sampled_mode_ && parent == kNoSpan && trace_id != 0 &&
-      anchors_.find(trace_id) == anchors_.end()) {
-    ++suppressed_;
-    return kNoSpan;
-  }
   if (spans_.size() >= capacity_) make_room();
   if (spans_.size() >= capacity_) {
     ++dropped_;
@@ -137,7 +132,6 @@ void SpanStore::merge_from(const SpanStore& src) {
   }
   dropped_ += src.dropped_;
   spilled_ += src.spilled_;
-  suppressed_ += src.suppressed_;
   open_ += src.open_;
 }
 

@@ -14,15 +14,17 @@
 // kNoSpan is a no-op, so instrumentation degrades gracefully instead of
 // corrupting the tree.
 //
-// Propagation: a SpanContext carries the ambient open-span stack for one
-// client (netsim::ClientContext owns one). Synchronous stages use the RAII
-// SpanScope against that context; asynchronous stages (a probing round that
-// spans many scheduler events) hold the SpanId and call end_at() when the
-// stage closes. Server-side participants that only share a protocol nonce
-// with the client attach through the store's trace-anchor registry:
-// the client registers its test span under the nonce, the server parents
-// its session span at anchor(nonce) — one tree per test, no protocol
-// change.
+// Propagation: there is no ambient parent. Every site reaches the store
+// through its scheduler (netsim::Scheduler::spans(), null when no Hub is
+// attached or the test is unsampled), opens its span at the scheduler's
+// now() and names the parent id explicitly; asynchronous stages (a probing
+// round that spans many scheduler events) hold the SpanId and end it when
+// the stage closes. A caller that nests another component's test under its
+// own span hands that component the parent id. Server-side participants
+// that only share a protocol nonce with the client attach through the
+// store's trace-anchor registry: the client registers its test span under
+// the nonce, the server parents its session span at anchor(nonce) — one
+// tree per test, no protocol change.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +40,7 @@
 namespace swiftest::obs::span {
 
 /// Span identifier: 1-based begin order within one store. 0 is "no span";
-/// every SpanStore/SpanContext operation on kNoSpan is a no-op.
+/// every SpanStore operation on kNoSpan is a no-op.
 using SpanId = std::uint64_t;
 inline constexpr SpanId kNoSpan = 0;
 
@@ -98,15 +100,6 @@ class SpanStore {
   using SpillFn = std::function<void(const SpanRecord*, std::size_t)>;
   void set_spill(SpillFn fn) { spill_ = std::move(fn); }
 
-  /// Sampled mode (fleet sampling): a begin that would start a NEW trace
-  /// tree for an unknown trace_id — nonzero trace_id, no parent, no anchor
-  /// registered — is silently refused (counted in suppressed()). Unsampled
-  /// tests never register their anchor, so cross-component participants
-  /// (server sessions keyed on the wire nonce) drop out with them instead
-  /// of leaving orphan roots in the artifact.
-  void set_sampled_mode(bool on) noexcept { sampled_mode_ = on; }
-  [[nodiscard]] bool sampled_mode() const noexcept { return sampled_mode_; }
-
   /// Opens a span. Returns kNoSpan (and counts the drop) once the store is
   /// at capacity and no spill sink can free room. `trace_id` 0 inherits the
   /// parent's trace id.
@@ -156,8 +149,6 @@ class SpanStore {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Spans rotated out through the spill sink.
   [[nodiscard]] std::uint64_t spilled() const noexcept { return spilled_; }
-  /// Begins refused by sampled mode (intentional, not data loss).
-  [[nodiscard]] std::uint64_t suppressed() const noexcept { return suppressed_; }
   /// Spans begun but not yet ended.
   [[nodiscard]] std::size_t open_count() const noexcept { return open_; }
 
@@ -166,7 +157,6 @@ class SpanStore {
     anchors_.clear();
     dropped_ = 0;
     spilled_ = 0;
-    suppressed_ = 0;
     open_ = 0;
     next_id_ = 1;
   }
@@ -184,107 +174,13 @@ class SpanStore {
   std::map<std::uint64_t, SpanId> anchors_;
   std::uint64_t dropped_ = 0;
   std::uint64_t spilled_ = 0;
-  std::uint64_t suppressed_ = 0;
   std::size_t open_ = 0;
   SpanId next_id_ = 1;
-  bool sampled_mode_ = false;
   SpillFn spill_;
   Tracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   /// Per-name histogram handles, keyed on the literal's address (bind once).
   std::map<const void*, Histogram*> stage_hist_;
-};
-
-/// One client's ambient span state: the store it writes to, a sim-clock
-/// callback, and the open-span stack that makes SpanScope nesting work.
-/// Rebindable because a Hub may be attached to the scheduler after the
-/// owning client exists; with a null store every operation is a no-op.
-class SpanContext {
- public:
-  using ClockFn = core::SimTime (*)(void*);
-
-  void bind(SpanStore* store, ClockFn clock, void* clock_arg) noexcept {
-    store_ = store;
-    clock_ = clock;
-    clock_arg_ = clock_arg;
-  }
-
-  [[nodiscard]] SpanStore* store() const noexcept { return store_; }
-  [[nodiscard]] bool enabled() const noexcept {
-    return store_ != nullptr && !suppressed_;
-  }
-
-  /// Whole-test sampling switch: while suppressed, begin() returns kNoSpan
-  /// (so every dependent attr/end/push is a no-op) without touching the
-  /// store. Deliberately NOT reset by bind() — the owning client re-binds
-  /// the context on every access, but a sampling decision covers the whole
-  /// test and is flipped explicitly at test start.
-  void set_suppressed(bool suppressed) noexcept { suppressed_ = suppressed; }
-  [[nodiscard]] bool suppressed() const noexcept { return suppressed_; }
-  [[nodiscard]] core::SimTime now() const noexcept {
-    return clock_ != nullptr ? clock_(clock_arg_) : 0;
-  }
-
-  /// Innermost open span — the parent new work attaches under.
-  [[nodiscard]] SpanId current() const noexcept {
-    return stack_.empty() ? kNoSpan : stack_.back();
-  }
-
-  /// Opens a child of current() at the clock's now. Does not push.
-  SpanId begin(Category category, const char* name) {
-    if (store_ == nullptr || suppressed_) return kNoSpan;
-    return store_->begin(now(), category, name, current());
-  }
-
-  void end(SpanId id) { end_at(id, now()); }
-  void end_at(SpanId id, core::SimTime ts) {
-    if (store_ != nullptr) store_->end(id, ts);
-  }
-
-  /// Makes `id` the ambient parent until the matching pop. Pop tolerates
-  /// out-of-order ids (it unwinds to the matching entry) so an abandoned
-  /// async stage cannot wedge the stack.
-  void push(SpanId id) {
-    if (id != kNoSpan) stack_.push_back(id);
-  }
-  void pop(SpanId id) noexcept {
-    while (!stack_.empty()) {
-      const SpanId top = stack_.back();
-      stack_.pop_back();
-      if (top == id) break;
-    }
-  }
-
- private:
-  SpanStore* store_ = nullptr;
-  ClockFn clock_ = nullptr;
-  void* clock_arg_ = nullptr;
-  bool suppressed_ = false;
-  std::vector<SpanId> stack_;
-};
-
-/// RAII span for synchronous stages: begins a child of the context's current
-/// span and pushes it; ends and pops on destruction. With a disabled context
-/// the whole object is a no-op (id() == kNoSpan).
-class SpanScope {
- public:
-  SpanScope(SpanContext& ctx, Category category, const char* name)
-      : ctx_(ctx), id_(ctx.begin(category, name)) {
-    ctx_.push(id_);
-  }
-  ~SpanScope() {
-    ctx_.pop(id_);
-    ctx_.end(id_);
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  [[nodiscard]] SpanId id() const noexcept { return id_; }
-
- private:
-  SpanContext& ctx_;
-  SpanId id_;
 };
 
 }  // namespace swiftest::obs::span

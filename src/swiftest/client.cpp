@@ -23,23 +23,27 @@ bts::BtsResult SwiftestClient::run(netsim::ClientContext& client) {
 
   // Stage spans mirror the wire client's decomposition; the facade has no
   // nonce, so the tree stands alone (trace_id 0).
-  auto& sctx = client.spans();
-  obs::span::SpanStore* spans = sctx.store();
-  const obs::span::SpanId span_test =
-      sctx.begin(obs::Category::kProtocol, "swiftest.test");
-  sctx.push(span_test);
+  obs::span::SpanStore* spans = sched.spans();
+  auto begin_span = [&](const char* name, obs::span::SpanId parent) {
+    return spans != nullptr
+               ? spans->begin(sched.now(), obs::Category::kProtocol, name, parent)
+               : obs::span::kNoSpan;
+  };
+  auto end_span = [&](obs::span::SpanId id) {
+    if (spans != nullptr) spans->end(id, sched.now());
+  };
+  const obs::span::SpanId span_test = begin_span("swiftest.test", obs::span::kNoSpan);
   if (spans != nullptr) spans->attr_u64(span_test, "client", client.index());
 
   // 1. Server selection: Swiftest PINGs the whole (small) server pool, four
   // probes in flight at a time (~0.2 s total, §5.3).
-  const obs::span::SpanId span_select =
-      sctx.begin(obs::Category::kProtocol, "swiftest.select_server");
+  const obs::span::SpanId span_select = begin_span("swiftest.select_server", span_test);
   const netsim::ServerChoice sel =
       client.select_server(client.server_count(), /*concurrency=*/4);
   result.ping_duration = sel.elapsed;
   sched.run_until(sched.now() + sel.elapsed);
   if (spans != nullptr) spans->attr_u64(span_select, "server", sel.server);
-  sctx.end(span_select);
+  end_span(span_select);
 
   // 2. The §5.1 probing state machine, seeded by the model.
   ProbingFsmConfig fsm_cfg;
@@ -82,14 +86,12 @@ bts::BtsResult SwiftestClient::run(netsim::ClientContext& client) {
   if (auto* hub = sched.obs()) hub->metrics.counter("probe.tests_started").inc();
   trace_stage(obs::EventKind::kInstant, "probe.start", fsm.rate_mbps());
 
-  obs::span::SpanId span_handshake =
-      sctx.begin(obs::Category::kProtocol, "swiftest.handshake");
+  obs::span::SpanId span_handshake = begin_span("swiftest.handshake", span_test);
   obs::span::SpanId span_round = obs::span::kNoSpan;
   std::uint32_t round_index = 0;
   auto begin_round_span = [&]() -> obs::span::SpanId {
     if (spans == nullptr) return obs::span::kNoSpan;
-    const obs::span::SpanId id = spans->begin(
-        sched.now(), obs::Category::kProtocol, "swiftest.round", span_test);
+    const obs::span::SpanId id = begin_span("swiftest.round", span_test);
     spans->attr_u64(id, "round", ++round_index);
     spans->attr_f64(id, "rate_mbps", fsm.rate_mbps());
     return id;
@@ -104,7 +106,7 @@ bts::BtsResult SwiftestClient::run(netsim::ClientContext& client) {
   sampler.start(config_.sample_interval, [&](double sample_mbps) {
     trace_stage(obs::EventKind::kCounter, "probe.sample_mbps", sample_mbps);
     if (span_handshake != obs::span::kNoSpan) {
-      sctx.end(span_handshake);
+      end_span(span_handshake);
       span_handshake = obs::span::kNoSpan;
       span_round = begin_round_span();
     }
@@ -112,7 +114,7 @@ bts::BtsResult SwiftestClient::run(netsim::ClientContext& client) {
       case ProbingFsm::Action::kEscalate:
         if (auto* hub = sched.obs()) hub->metrics.counter("probe.escalations").inc();
         trace_stage(obs::EventKind::kInstant, "probe.escalate", fsm.rate_mbps());
-        sctx.end(span_round);
+        end_span(span_round);
         span_round = begin_round_span();
         apply_rate(fsm.rate_mbps());
         return true;
@@ -172,14 +174,13 @@ bts::BtsResult SwiftestClient::run(netsim::ClientContext& client) {
   }
   trace_stage(obs::EventKind::kInstant, "probe.complete", result.bandwidth_mbps);
   // A hard stop lands mid-round (or even mid-handshake): close what's open.
-  sctx.end(span_round);
-  sctx.end(span_handshake);
+  end_span(span_round);
+  end_span(span_handshake);
   if (spans != nullptr) {
     spans->attr_f64(span_test, "estimate_mbps", result.bandwidth_mbps);
     spans->attr_u64(span_test, "servers", flows.size());
   }
-  sctx.pop(span_test);
-  sctx.end(span_test);
+  end_span(span_test);
   return result;
 }
 

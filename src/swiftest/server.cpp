@@ -110,7 +110,7 @@ void SwiftestServer::handle_request(const ProbeRequest& request,
   session.path = &reply_path;
   session.sink = sink;
   ++stats_.requests_accepted;
-  if (auto* hub = sched_.obs()) {
+  if (sched_.obs() != nullptr) {
     if (!obs_.bound) bind_obs();
     obs_.accepted->inc();
     note_session_count();
@@ -123,14 +123,14 @@ void SwiftestServer::handle_request(const ProbeRequest& request,
     // (or its own root if this server never sees the client's trace).
     // Marked aux: it runs concurrently with the client's probing rounds and
     // must annotate the tree, not claim its critical path.
-    if (session.span == obs::span::kNoSpan) {
-      auto& spans = hub->spans;
+    if (auto* spans = sched_.spans();
+        spans != nullptr && session.span == obs::span::kNoSpan) {
       session.span =
-          spans.begin(sched_.now(), obs::Category::kProtocol, "server.session",
-                      spans.anchor(request.nonce), request.nonce);
-      spans.attr_u64(session.span, "aux", 1);
-      spans.attr_f64(session.span, "rate_mbps",
-                     session.rate.megabits_per_second());
+          spans->begin(sched_.now(), obs::Category::kProtocol, "server.session",
+                       spans->anchor(request.nonce), request.nonce);
+      spans->attr_u64(session.span, "aux", 1);
+      spans->attr_f64(session.span, "rate_mbps",
+                      session.rate.megabits_per_second());
     }
   }
   pump(request.nonce);
@@ -165,7 +165,7 @@ void SwiftestServer::handle_complete(const TestComplete& complete) {
   const auto it = sessions_.find(complete.nonce);
   if (it == sessions_.end()) return;
   it->second.timer.cancel();
-  if (auto* hub = sched_.obs()) hub->spans.end(it->second.span, sched_.now());
+  if (auto* spans = sched_.spans()) spans->end(it->second.span, sched_.now());
   sessions_.erase(it);
   ++stats_.completions;
   if (sched_.obs() != nullptr) {
@@ -243,9 +243,9 @@ void SwiftestServer::reap_idle() {
     if (it->second.last_activity < cutoff) {
       it->second.timer.cancel();
       const std::uint64_t nonce = it->first;
-      if (auto* hub = sched_.obs()) {
-        hub->spans.attr_u64(it->second.span, "reaped", 1);
-        hub->spans.end(it->second.span, sched_.now());
+      if (auto* spans = sched_.spans()) {
+        spans->attr_u64(it->second.span, "reaped", 1);
+        spans->end(it->second.span, sched_.now());
       }
       it = sessions_.erase(it);
       ++stats_.sessions_reaped;

@@ -32,14 +32,6 @@ void trace_protocol(netsim::Scheduler& sched, obs::EventKind kind, const char* n
   }
 }
 
-/// The scheduler's span store, or null when no Hub is attached. Every span
-/// operation below goes through this gate; SpanStore itself no-ops on
-/// kNoSpan ids, so a test started without a Hub stays span-free throughout.
-obs::span::SpanStore* span_store(netsim::Scheduler& sched) {
-  obs::Hub* hub = sched.obs();
-  return hub != nullptr ? &hub->spans : nullptr;
-}
-
 /// Opens the next probing-round span (child of the test span), annotated
 /// with the commanded rate and the round index.
 obs::span::SpanId begin_round(obs::span::SpanStore& spans, netsim::Scheduler& sched,
@@ -156,7 +148,8 @@ void WireClient::abandon() {
   st->servers.clear();
 }
 
-void WireClient::start(netsim::ClientContext& client, CompletionFn on_complete) {
+void WireClient::start(netsim::ClientContext& client, CompletionFn on_complete,
+                       obs::span::SpanId parent_span) {
   abandon();
   server_stats_ = {};
 
@@ -193,18 +186,15 @@ void WireClient::start(netsim::ClientContext& client, CompletionFn on_complete) 
   // the selection PINGs, matching the historical stream order.
   st->nonce = client.fork_rng().next_u64() | 1;
 
-  // Root test span, keyed to the nonce so server sessions join the tree.
-  // The selection PINGs happened synchronously above; their span covers
-  // [now, now + ping_duration], which is when probing actually begins.
-  // Honors the context's whole-test sampling switch: a suppressed client
-  // never opens the root (span_test stays kNoSpan, so every descendant stage
-  // below skips too) and never registers the nonce anchor — the store's
-  // sampled mode then refuses the matching server sessions as well.
-  if (auto* spans = span_store(client.scheduler());
-      spans != nullptr && !client.spans().suppressed()) {
+  // Test span, keyed to the nonce so server sessions join the tree. The
+  // selection PINGs happened synchronously above; their span covers
+  // [now, now + ping_duration], which is when probing actually begins. With
+  // no span store (no Hub, or an unsampled test) span_test stays kNoSpan and
+  // every descendant stage below skips too.
+  if (auto* spans = client.scheduler().spans()) {
     const core::SimTime t0 = client.scheduler().now();
     st->span_test = spans->begin(t0, obs::Category::kProtocol, "swiftest.test",
-                                 client.spans().current());
+                                 parent_span);
     spans->attr_u64(st->span_test, "client", client.index());
     spans->set_trace_id(st->span_test, st->nonce);
     const obs::span::SpanId sel = spans->begin(
@@ -238,7 +228,7 @@ void WireClient::begin_probing(const std::shared_ptr<RunState>& st) {
 
   // Handshake: ProbeRequest fan-out until the first throughput sample. The
   // span closes from the first sampler callback.
-  if (auto* spans = span_store(sched);
+  if (auto* spans = sched.spans();
       spans != nullptr && st->span_test != obs::span::kNoSpan) {
     st->span_handshake = spans->begin(sched.now(), obs::Category::kProtocol,
                                       "swiftest.handshake", st->span_test);
@@ -255,7 +245,7 @@ void WireClient::begin_probing(const std::shared_ptr<RunState>& st) {
                    raw->nonce, sample_mbps);
     // First sample: the handshake stage is over, round 1 starts here.
     if (raw->span_handshake != obs::span::kNoSpan) {
-      if (auto* spans = span_store(*raw->sched)) {
+      if (auto* spans = raw->sched->spans()) {
         spans->end(raw->span_handshake, raw->sched->now());
         raw->span_round = begin_round(*spans, *raw->sched, raw->span_test,
                                       ++raw->round_index, raw->fsm.rate_mbps());
@@ -269,7 +259,7 @@ void WireClient::begin_probing(const std::shared_ptr<RunState>& st) {
         }
         trace_protocol(*raw->sched, obs::EventKind::kInstant, "probe.escalate",
                        raw->nonce, raw->fsm.rate_mbps());
-        if (auto* spans = span_store(*raw->sched);
+        if (auto* spans = raw->sched->spans();
             spans != nullptr && raw->span_test != obs::span::kNoSpan) {
           spans->end(raw->span_round, raw->sched->now());
           raw->span_round = begin_round(*spans, *raw->sched, raw->span_test,
@@ -284,7 +274,7 @@ void WireClient::begin_probing(const std::shared_ptr<RunState>& st) {
         // window: the FSM declared convergence because the last
         // `convergence_window` samples agreed, so that window is its own
         // stage (the part of the test an SLO on time-to-converge bounds).
-        if (auto* spans = span_store(*raw->sched);
+        if (auto* spans = raw->sched->spans();
             spans != nullptr && raw->span_test != obs::span::kNoSpan) {
           const core::SimTime now = raw->sched->now();
           const core::SimDuration window =
@@ -345,7 +335,7 @@ void WireClient::finalize(const std::shared_ptr<RunState>& st) {
   // Close whatever stage was still running (a hard stop lands mid-round, or
   // even mid-handshake) and open the finalization stage: TestComplete
   // fan-out plus the in-flight drain, ended when the result is declared.
-  if (auto* spans = span_store(*st->sched);
+  if (auto* spans = st->sched->spans();
       spans != nullptr && st->span_test != obs::span::kNoSpan) {
     const core::SimTime now = st->sched->now();
     spans->end(st->span_round, now);
@@ -397,7 +387,7 @@ void WireClient::complete(const std::shared_ptr<RunState>& st) {
   trace_protocol(*st->sched, obs::EventKind::kInstant, "probe.complete",
                  st->nonce, r.bandwidth_mbps);
 
-  if (auto* spans = span_store(*st->sched)) {
+  if (auto* spans = st->sched->spans()) {
     spans->end(st->span_finalize, now);
     spans->attr_f64(st->span_test, "estimate_mbps", r.bandwidth_mbps);
     spans->attr_u64(st->span_test, "servers", st->servers.size());

@@ -10,7 +10,7 @@
 // Two ways to run one:
 //  - run(client): the synchronous BandwidthTester interface. Drives the
 //    scheduler until the test completes.
-//  - start(client, on_complete): event-driven. Schedules the whole test as
+//  - start(client, on_complete, parent_span): event-driven. Schedules the whole test as
 //    scheduler events and returns immediately, so many WireClients can probe
 //    one Testbed concurrently.
 //
@@ -62,8 +62,11 @@ class WireClient final : public bts::BandwidthTester {
   /// Starts a test and returns without advancing the scheduler. The test
   /// unfolds as scheduler events; `on_complete` fires when it finishes.
   /// Starting while a test is in flight abandons the old one (its server
-  /// sessions are left for idle GC, as with a vanished real client).
-  void start(netsim::ClientContext& client, CompletionFn on_complete = {});
+  /// sessions are left for idle GC, as with a vanished real client). The
+  /// test's "swiftest.test" span opens under `parent_span` (the caller's own
+  /// span when it nests the test in a larger operation).
+  void start(netsim::ClientContext& client, CompletionFn on_complete = {},
+             obs::span::SpanId parent_span = obs::span::kNoSpan);
 
   /// True between start() and the completion callback.
   [[nodiscard]] bool running() const noexcept;

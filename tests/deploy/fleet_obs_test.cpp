@@ -38,7 +38,11 @@ struct ObsArtifacts {
   std::uint64_t tests = 0;
   std::uint64_t sampled = 0;
   std::uint64_t degradations = 0;
-  std::uint64_t span_suppressed = 0;
+  /// Read back from the spans artifact: its span count, its server.session
+  /// spans, and those of them with no parent (orphan roots).
+  std::size_t span_count = 0;
+  std::size_t sessions = 0;
+  std::size_t root_sessions = 0;
 };
 
 ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs,
@@ -86,7 +90,16 @@ ObsArtifacts run_fleet(FleetBackend backend, std::size_t chunk, std::size_t jobs
   for (const obs::ShardTelemetry& t : monitor.shard_telemetry()) {
     out.degradations += t.sample_degradations;
   }
-  out.span_suppressed = hub.spans.suppressed();
+  const auto records = obs::span::parse_spans_json(out.spans);
+  EXPECT_TRUE(records.has_value());
+  if (records.has_value()) {
+    out.span_count = records->size();
+    for (const obs::span::SpanData& r : *records) {
+      if (r.name != "server.session") continue;
+      ++out.sessions;
+      if (r.parent == 0) ++out.root_sessions;
+    }
+  }
   return out;
 }
 
@@ -192,10 +205,10 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
   ASSERT_GT(serial.tests, 50u);
   EXPECT_GT(serial.sampled, 0u);
   EXPECT_LT(serial.sampled, serial.tests);
-  // Unsampled tests' server sessions are refused (suppressed, not dropped):
-  // no orphan roots from participants whose client never registered an
-  // anchor.
-  EXPECT_GT(serial.span_suppressed, 0u);
+  // Unsampled tests never begin their server sessions, and every kept
+  // session joins its client's test tree: no orphan roots.
+  EXPECT_GT(serial.sessions, 0u);
+  EXPECT_EQ(serial.root_sessions, 0u);
   EXPECT_NE(serial.spans.find("swiftest.test"), std::string::npos);
 
   // Tests record straight into their chunk's hub, so the chunk size decides
@@ -204,7 +217,6 @@ TEST(FleetSampling, PacketSampledArtifactsIndependentOfJobsAndSuppressOrphans) {
     const ObsArtifacts threaded = run_fleet(FleetBackend::kPacket, chunk, 4, 4);
     EXPECT_EQ(serial.tests, threaded.tests) << "chunk=" << chunk;
     EXPECT_EQ(serial.sampled, threaded.sampled) << "chunk=" << chunk;
-    EXPECT_EQ(serial.span_suppressed, threaded.span_suppressed) << "chunk=" << chunk;
     EXPECT_EQ(serial.trace, threaded.trace) << "chunk=" << chunk;
     EXPECT_EQ(serial.spans, threaded.spans) << "chunk=" << chunk;
     EXPECT_EQ(serial.metrics, threaded.metrics) << "chunk=" << chunk;
@@ -286,7 +298,9 @@ TEST(FleetSpill, CallerHubDropsAfterSpillRunReturns) {
 TEST(FleetSampling, PacketUnsampledTestsRecordNoTraceEvents) {
   // A denominator this large keeps none of ~150 draws: every test is
   // unsampled, so no per-test event (netsim, protocol or fleet instant) may
-  // reach the trace. Only the merge-time egress series remains.
+  // reach the trace, and no span (fleet.test, client stages or server
+  // sessions) may reach the spans artifact. Only the merge-time egress
+  // series remains.
   const ObsArtifacts run = run_fleet(FleetBackend::kPacket, 32, 1, 1ull << 40);
   ASSERT_GT(run.tests, 50u);
   EXPECT_EQ(run.sampled, 0u);
@@ -303,6 +317,7 @@ TEST(FleetSampling, PacketUnsampledTestsRecordNoTraceEvents) {
   }
   EXPECT_GT(egress, 0u);
   EXPECT_EQ(other, 0u) << "first: " << first_other;
+  EXPECT_EQ(run.span_count, 0u) << run.spans;
 }
 
 }  // namespace

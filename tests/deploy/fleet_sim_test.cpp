@@ -233,5 +233,21 @@ TEST(FleetSim, EmptyInputsAreSafe) {
   EXPECT_EQ(simulate_fleet(population(), registry, cfg).tests_simulated, 0u);
 }
 
+// The analytic load sweep holds one window's per-server sums, never the
+// whole period: the largest fleet and period the CLI accepts
+// (--servers 10000 --days 366) with no tests returns at once with no busy
+// window. A days x windows x servers matrix here would be ~253 GB.
+TEST(FleetSim, LargestIdleAnalyticRunHoldsOneWindowRow) {
+  const swift::ModelRegistry registry;
+  FleetSimConfig cfg;
+  cfg.server_count = 10'000;
+  cfg.days = 366;
+  cfg.tests_per_day = 0.0;
+  const auto result = simulate_fleet(population(), registry, cfg);
+  EXPECT_EQ(result.tests_simulated, 0u);
+  EXPECT_TRUE(result.busy_window_utilization.empty());
+  EXPECT_EQ(result.overload_seconds_share, 0.0);
+}
+
 }  // namespace
 }  // namespace swiftest::deploy

@@ -18,6 +18,33 @@ using core::milliseconds;
 using core::seconds;
 using core::seconds;
 
+// The per-test detail switch: with detail off the scheduler hands out no
+// tracer and no span store (its own sched.fire record included), while the
+// Hub still counts metrics; with detail on both are the Hub's.
+TEST(Scheduler, DetailSwitchGatesTracerAndSpansNotMetrics) {
+  obs::Hub hub;
+  Scheduler sched;
+  sched.set_obs(&hub, /*detail=*/false);
+  EXPECT_EQ(sched.obs(), &hub);
+  EXPECT_EQ(sched.tracer(obs::Category::kScheduler), nullptr);
+  EXPECT_EQ(sched.spans(), nullptr);
+  sched.schedule_in(milliseconds(1), [] {});
+  sched.run();
+  EXPECT_EQ(hub.tracer.size(), 0u);
+  EXPECT_EQ(hub.metrics.snapshot().counters.at("scheduler.events_fired"), 1u);
+
+  sched.set_obs(&hub);
+  EXPECT_EQ(sched.tracer(obs::Category::kScheduler), &hub.tracer);
+  EXPECT_EQ(sched.spans(), &hub.spans);
+  sched.schedule_in(milliseconds(1), [] {});
+  sched.run();
+  EXPECT_EQ(hub.tracer.size(), 1u);
+
+  sched.set_obs(nullptr);
+  EXPECT_EQ(sched.tracer(obs::Category::kScheduler), nullptr);
+  EXPECT_EQ(sched.spans(), nullptr);
+}
+
 TEST(Scheduler, RunsEventsInTimeOrder) {
   Scheduler sched;
   std::vector<int> order;

@@ -1,4 +1,4 @@
-// Span model semantics (store, context, scope) plus the end-to-end
+// Span store semantics plus the end-to-end
 // acceptance check: a full Swiftest wire test decomposes into named stages
 // whose critical-path segments sum to the measured test duration.
 #include <gtest/gtest.h>
@@ -109,59 +109,6 @@ TEST(SpanStore, ClosedSpansFeedStageHistograms) {
   const auto it = snap.histograms.find("span.stage_seconds/stage.x");
   ASSERT_NE(it, snap.histograms.end());
   EXPECT_EQ(it->second.count, 1u);
-}
-
-core::SimTime fixed_clock(void* arg) { return *static_cast<core::SimTime*>(arg); }
-
-TEST(SpanContext, UnboundContextIsANoOp) {
-  SpanContext ctx;
-  EXPECT_FALSE(ctx.enabled());
-  EXPECT_EQ(ctx.begin(Category::kProtocol, "x"), kNoSpan);
-  ctx.push(kNoSpan);
-  EXPECT_EQ(ctx.current(), kNoSpan);
-  SpanScope scope(ctx, Category::kProtocol, "y");
-  EXPECT_EQ(scope.id(), kNoSpan);
-}
-
-TEST(SpanContext, PushPopUnwindsPastAbandonedSpans) {
-  SpanStore store;
-  core::SimTime now = 0;
-  SpanContext ctx;
-  ctx.bind(&store, &fixed_clock, &now);
-
-  const SpanId a = ctx.begin(Category::kProtocol, "a");
-  ctx.push(a);
-  const SpanId b = ctx.begin(Category::kProtocol, "b");
-  ctx.push(b);
-  EXPECT_EQ(ctx.current(), b);
-  EXPECT_EQ(store.spans()[b - 1].parent, a);
-
-  // Popping the outer id unwinds through the abandoned inner one.
-  ctx.pop(a);
-  EXPECT_EQ(ctx.current(), kNoSpan);
-}
-
-TEST(SpanContext, ScopeNestsUnderAmbientParent) {
-  SpanStore store;
-  core::SimTime now = core::seconds(1);
-  SpanContext ctx;
-  ctx.bind(&store, &fixed_clock, &now);
-  {
-    SpanScope outer(ctx, Category::kProtocol, "outer");
-    now = core::seconds(2);
-    {
-      SpanScope inner(ctx, Category::kProtocol, "inner");
-      now = core::seconds(3);
-      EXPECT_EQ(store.spans()[inner.id() - 1].parent, outer.id());
-    }
-    EXPECT_EQ(ctx.current(), outer.id());
-  }
-  EXPECT_EQ(ctx.current(), kNoSpan);
-  ASSERT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.spans()[0].closed);
-  EXPECT_TRUE(store.spans()[1].closed);
-  EXPECT_EQ(store.spans()[1].start, core::seconds(2));
-  EXPECT_EQ(store.spans()[1].end, core::seconds(3));
 }
 
 bts::BtsResult run_traced(Hub& hub, std::uint64_t seed) {

@@ -490,7 +490,9 @@ PYEOF
 # health outcome slots (disjoint index ranges, read only after the join),
 # the atomic claim cursor, and the join-then-merge handoff, so a TSan-clean
 # run certifies the substrate's isolation contract; any cross-worker data
-# race fails CI here. Both runs keep health, and their reports must match.
+# race fails CI here. Both runs keep health and a 1/4-sampled trace and
+# span tree, so workers record into their chunk hubs under the per-test
+# detail switch; the two runs' health, trace and span files must match.
 # The RunTasksHostprof gtest suite rides the same build: it drives the pool
 # with a live profiler (the reserve-before-spawn / read-after-join contract,
 # DESIGN.md §13), including 4096 near-empty tasks on 8 workers that keep the
@@ -506,17 +508,24 @@ run_tsan_fleet() {
   echo "=== TSan worker pool (live contention on the claim cursor) ==="
   "${REPO_ROOT}/${build_dir}/tests/test_deploy" \
     --gtest_filter='RunTasksHostprof.*'
-  echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, profiled) ==="
-  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+  echo "=== TSan chunked fleet-day (--chunk 64 --jobs 4, sampled 1/4, profiled) ==="
+  local out="${REPO_ROOT}/${build_dir}"
+  "${out}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4 \
-    --health-out "${REPO_ROOT}/${build_dir}/health-tsan.json"
-  "${REPO_ROOT}/${build_dir}/tools/swiftest-cli" fleet --backend packet \
+    --obs-sample 1/4 --trace-jsonl "${out}/trace-tsan.jsonl" \
+    --spans-out "${out}/spans-tsan.json" \
+    --health-out "${out}/health-tsan.json"
+  "${out}/tools/swiftest-cli" fleet --backend packet \
     --servers 5 --days 1 --tests-per-day 200 --seed 3 --chunk 64 --jobs 4 \
-    --health-out "${REPO_ROOT}/${build_dir}/health-tsan-prof.json" \
-    --prof-out "${REPO_ROOT}/${build_dir}/prof-tsan.jsonl"
-  cmp "${REPO_ROOT}/${build_dir}/health-tsan.json" \
-      "${REPO_ROOT}/${build_dir}/health-tsan-prof.json" \
-    || { echo "TSan fleet-day health differs between runs" >&2; return 1; }
+    --obs-sample 1/4 --trace-jsonl "${out}/trace-tsan-prof.jsonl" \
+    --spans-out "${out}/spans-tsan-prof.json" \
+    --health-out "${out}/health-tsan-prof.json" \
+    --prof-out "${out}/prof-tsan.jsonl"
+  local artifact
+  for artifact in health-tsan.json trace-tsan.jsonl spans-tsan.json; do
+    cmp "${out}/${artifact}" "${out}/${artifact/-tsan/-tsan-prof}" \
+      || { echo "TSan fleet-day ${artifact} differs between runs" >&2; return 1; }
+  done
   echo "TSan chunked fleet-day clean"
 }
 
